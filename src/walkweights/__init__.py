@@ -51,7 +51,6 @@ from .reconstruct import (
 from .solvability import (
     PathDecomposition,
     RelintResult,
-    TraceHull,
     TwinSplit,
     detect_family,
     enumerate_proper_walks,
@@ -63,7 +62,6 @@ from .solvability import (
     solve_complete,
     solve_path,
     solve_reducible,
-    trace_hull,
     trace_vector,
 )
 from .spectral_green import (

@@ -183,23 +183,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     g, _ = load_instance(args.instance)
-    hull_cap = args.cap if args.cap is not None else solvability.default_cap(g)
-    dim = solvability.hull_dimension(g, hull_cap)
     relint = None
-    cap_used = hull_cap
     if args.target is not None:
         r = _load_target(args.target, g.n)
-        res = solvability.relint_membership(g, r, args.cap)
-        relint = bool(res.member)
-        cap_used = res.cap_used
-    manifest = _manifest("check", g, None, cap=args.cap)
+        relint = bool(solvability.relint_membership(g, r).member)
     _emit_json(
         {
-            "manifest": manifest,
-            "hull_dim": dim,
+            "manifest": _manifest("check", g, None),
+            "hull_dim": solvability.hull_dimension(g),
             "bipartite": g.bipartite,
             "relint": relint,
-            "cap_used": cap_used,
         },
         args.out,
     )
@@ -278,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="hull dimension and relint membership")
     p.add_argument("--instance", required=True)
     p.add_argument("--target", default=None)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_check)
 

@@ -193,9 +193,13 @@ def expected_hitting_time(
 
 
 def _cumulative_rows(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
+    """Row-wise cumulative transition probabilities, exactly 1.0 from each
+    row's last neighbour onward, so that no uniform in [0, 1) can land on a
+    non-neighbour when the row sum rounds below 1."""
     P = transition_matrix(g, w)
     cum = np.cumsum(P, axis=1)
-    cum[:, -1] = 1.0
+    last = np.array([nbrs[-1] for nbrs in g.neighbors])
+    cum[np.arange(g.n)[None, :] >= last[:, None]] = 1.0
     return cum
 
 

@@ -2,14 +2,18 @@
 
 A target r (with r(v_out) = 1) is solvable when strictly positive weights
 reproduce it.  Necessarily r lies in the relative interior of the convex
-hull of proper-walk traces; this module decides that membership by linear
-programming over a truncated trace set, and constructs exact solutions on
-paths, complete graphs, and anything that pendant stripping plus twin
-merging reduces to one of those base cases (all trees included).
+hull of proper-walk traces.  This module decides that membership, and the
+hull's dimension, exactly with an arc-flow LP, and constructs exact
+solutions on paths, complete graphs, and anything that pendant stripping
+plus twin merging reduces to one of those base cases (all trees included).
 
-Enumeration works on the *set of distinct traces* rather than the set of
-walks: the hull depends only on traces, and deduplicating during a
-breadth-first sweep keeps dense graphs tractable at the default cap.
+The arc-flow system: a proper walk's trace is e_{v_in} plus the arrivals of
+the arcs it crosses, and by flow decomposition into one v_in-v_out path
+plus cycles (Ahuja, Magnanti & Orlin, *Network Flows*, 3.5) the closed
+trace hull is the image of the unit v_in-v_out flows on the arcs a proper
+walk can use.  Every such arc lies on some proper walk, so the relative
+interior of the hull is the image of the strictly positive flows
+(Rockafellar, *Convex Analysis*, Thms 6.3 and 6.6).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+import scipy.linalg
 from scipy.optimize import linprog
 
 from .errors import (
@@ -29,7 +33,13 @@ from .errors import (
     NotTwins,
     VerificationError,
 )
-from .graph_core import GraphInstance, WeightAssignment, build_graph, derived_weights
+from .graph_core import (
+    GraphInstance,
+    WeightAssignment,
+    _bfs_components,
+    build_graph,
+    derived_weights,
+)
 from .occupation import (
     OccupationVector,
     WalkTrace,
@@ -38,14 +48,11 @@ from .occupation import (
 )
 
 __all__ = [
-    "TraceHull",
     "PathDecomposition",
     "RelintResult",
     "TwinSplit",
     "trace_vector",
     "enumerate_proper_walks",
-    "collect_proper_traces",
-    "trace_hull",
     "hull_dimension",
     "relint_membership",
     "detect_family",
@@ -61,10 +68,6 @@ RELINT_CERT_TOL = 1e-9
 _HYPERPLANE_ATOL = 1e-9
 
 
-def default_cap(g: GraphInstance) -> int:
-    return 4 * g.n
-
-
 # -- traces and walks -------------------------------------------------------
 
 
@@ -78,8 +81,8 @@ def enumerate_proper_walks(g: GraphInstance, length_cap: int) -> list[WalkTrace]
     """All proper walks of at most ``length_cap`` steps, sorted by
     (length, vertex sequence).
 
-    Exhaustive over walks, so only suitable for small caps/graphs; the
-    hull machinery uses the deduplicated trace sweep instead.
+    Exhaustive over walks, so only suitable for small caps and graphs; it
+    serves as an oracle for the arc-flow hull.
     """
     shortest = int(g.distances[g.v_in])
     if length_cap < shortest:
@@ -107,180 +110,85 @@ def enumerate_proper_walks(g: GraphInstance, length_cap: int) -> list[WalkTrace]
     return [make_walk_trace(g, seq) for seq in out]
 
 
-def _iter_traces_by_length(g: GraphInstance, cap: int):
-    """Yield (length, distinct final traces of that length), deduplicated.
+# -- arc-flow hull ------------------------------------------------------------
 
-    State is (current vertex, partial trace); walks never pass through
-    v_out, so every final trace has exactly one v_out visit.
+
+def _arc_incidence(g: GraphInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(head, tail): n x arcs incidence of the arcs a proper walk can use.
+
+    Those are the arcs (u, v) leaving every u that a walk reaches from v_in
+    without passing v_out.
     """
-    start = [0] * g.n
-    start[g.v_in] = 1
-    frontier = {(g.v_in, tuple(start))}
-    for length in range(1, cap + 1):
-        finals = set()
-        nxt = set()
-        for v, tr in frontier:
-            for u in g.neighbors[v]:
-                t2 = list(tr)
-                t2[u] += 1
-                if u == g.v_out:
-                    finals.add(tuple(t2))
-                else:
-                    nxt.add((u, tuple(t2)))
-        if finals:
-            yield length, sorted(finals)
-        frontier = nxt
-        if not frontier:
-            return
+    reach = sorted(_bfs_components(g.n, g.neighbors, g.v_in, skip=g.v_out))
+    arcs = np.array([(u, v) for u in reach for v in g.neighbors[u]])
+    cols = np.arange(len(arcs))
+    head = np.zeros((g.n, len(arcs)))
+    tail = np.zeros((g.n, len(arcs)))
+    head[arcs[:, 1], cols] = 1.0
+    tail[arcs[:, 0], cols] = 1.0
+    return head, tail
 
 
-def collect_proper_traces(g: GraphInstance, cap: int) -> list[tuple[int, ...]]:
-    """Distinct proper-walk traces of length <= cap (deterministic order)."""
-    traces: list[tuple[int, ...]] = []
-    for _, finals in _iter_traces_by_length(g, cap):
-        traces.extend(finals)
-    if not traces:
-        raise CapTooSmall(f"no proper walk of length <= {cap} exists")
-    return traces
+def hull_dimension(g: GraphInstance) -> int:
+    """Affine dimension of the proper-walk trace hull.
 
-
-class _AffineRank:
-    """Incremental affine rank of a stream of vectors."""
-
-    def __init__(self):
-        self.base: np.ndarray | None = None
-        self.basis: list[np.ndarray] = []
-
-    def add(self, vec: np.ndarray) -> None:
-        if self.base is None:
-            self.base = vec.astype(float)
-            return
-        d = vec.astype(float) - self.base
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for b in self.basis:
-                d -= (d @ b) * b
-        norm = float(np.linalg.norm(d))
-        if norm > 1e-8 * max(1.0, float(np.linalg.norm(vec))):
-            self.basis.append(d / norm)
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
-class TraceHull:
-    """Truncated generator set of proper-walk traces and its affine span."""
-
-    generators: tuple[tuple[int, ...], ...]
-    affine_dimension: int
-    bipartite_flag: bool
-
-
-def trace_hull(g: GraphInstance, length_cap: int | None = None) -> TraceHull:
-    cap = default_cap(g) if length_cap is None else length_cap
-    traces = collect_proper_traces(g, cap)
-    rank = _AffineRank()
-    for tr in traces:
-        rank.add(np.asarray(tr))
-    return TraceHull(
-        generators=tuple(traces),
-        affine_dimension=rank.rank,
-        bipartite_flag=g.bipartite,
-    )
-
-
-def hull_dimension(g: GraphInstance, length_cap: int | None = None) -> int:
-    """Affine dimension of the truncated trace set.
-
-    Enumerates traces in order of walk length and stops as soon as the
-    dimension hits the theoretical ceiling (n-1, or n-2 for bipartite
-    graphs, both hard upper bounds), which keeps dense graphs cheap.
+    Traces are e_{v_in} + head x over the unit v_in-v_out flows x, whose
+    directions are the circulations: the null space of head - tail on every
+    vertex but v_out.
     """
-    cap = default_cap(g) if length_cap is None else length_cap
-    bound = g.n - 2 if g.bipartite else g.n - 1
-    rank = _AffineRank()
-    found = False
-    for _, finals in _iter_traces_by_length(g, cap):
-        for tr in finals:
-            found = True
-            rank.add(np.asarray(tr))
-            if rank.rank >= bound:
-                return rank.rank
-    if not found:
-        raise CapTooSmall(f"no proper walk of length <= {cap} exists")
-    return rank.rank
-
-
-# -- relative-interior membership -------------------------------------------
+    head, tail = _arc_incidence(g)
+    keep = np.arange(g.n) != g.v_out
+    circulations = scipy.linalg.null_space(head[keep] - tail[keep])
+    return int(np.linalg.matrix_rank(head @ circulations))
 
 
 @dataclass(frozen=True)
 class RelintResult:
-    """Outcome of the LP membership test.
+    """Outcome of the arc-flow membership test.
 
-    ``status`` is "relative_interior", "boundary" (feasible convex
-    combination exists but the positivity certificate is zero), or
-    "outside_hull" (no convex combination at this cap).  Truthiness equals
+    ``status`` is "relative_interior", "boundary" (r is in the closed hull
+    but no flow keeps every arc above ``RELINT_CERT_TOL``), or
+    "outside_hull" (no flow reproduces r).  ``certificate`` is the largest
+    attainable minimum arc flow (NaN outside the hull).  Truthiness equals
     ``member``.
     """
 
     member: bool
     status: str
-    cap_used: int
     certificate: float
 
     def __bool__(self) -> bool:
         return self.member
 
 
-def _relint_lp(traces, r: np.ndarray) -> tuple[str, float]:
-    TR = np.asarray(traces, dtype=float)
-    m = TR.shape[0]
-    # Variables (lambda_1..lambda_m, t): maximize t subject to
-    # TR^T lambda = r, sum lambda = 1, lambda_i >= t, lambda >= 0.
-    c = np.zeros(m + 1)
+def relint_membership(g: GraphInstance, r) -> RelintResult:
+    """Is r in the relative interior of the proper-walk trace hull?
+
+    Maximizes the smallest flow t over flows x on the usable arcs with
+    arrivals(v) = r(v) - [v = v_in] at every vertex and departures(v) = r(v)
+    at every v != v_out.  Those equations force r(v_out) = 1 and r = 0 off
+    the vertices a walk can reach, so no other check is needed.
+    """
+    r = _as_target(r, g.n)
+    head, tail = _arc_incidence(g)
+    keep = np.arange(g.n) != g.v_out
+    flow = np.vstack([head, tail[keep]])
+    arrivals = r.copy()
+    arrivals[g.v_in] -= 1.0
+    # Variables (y, t) >= 0 with x = y + t: maximize t subject to
+    # flow @ y + t * flow @ 1 = b.
+    A_eq = np.hstack([flow, flow.sum(axis=1, keepdims=True)])
+    c = np.zeros(A_eq.shape[1])
     c[-1] = -1.0
-    A_eq = np.zeros((len(r) + 1, m + 1))
-    A_eq[: len(r), :m] = TR.T
-    A_eq[len(r), :m] = 1.0
-    b_eq = np.concatenate([r, [1.0]])
-    A_ub = scipy.sparse.hstack(
-        [-scipy.sparse.identity(m, format="csr"), np.ones((m, 1))], format="csr"
-    )
-    b_ub = np.zeros(m)
-    bounds = [(0, None)] * m + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+    res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([arrivals, r[keep]]), method="highs")
     if res.status == 2:
-        return "outside_hull", float("nan")
+        return RelintResult(False, "outside_hull", float("nan"))
     if res.status != 0:  # pragma: no cover - solver trouble
         raise RuntimeError(f"relint LP failed: {res.message}")
     t_star = float(res.x[-1])
     if t_star > RELINT_CERT_TOL:
-        return "relative_interior", t_star
-    return "boundary", t_star
-
-
-def relint_membership(
-    g: GraphInstance, r, length_cap: int | None = None
-) -> RelintResult:
-    """Is r in the relative interior of the truncated trace hull?
-
-    A strictly positive convex combination over *every* truncated generator
-    certifies relative-interior membership.  The test is conservative (the
-    true hull has infinitely many generators), so a negative answer first
-    escalates the cap once (doubling it) before being reported.
-    """
-    r = _as_target(r, g.n)
-    cap = default_cap(g) if length_cap is None else length_cap
-    for attempt, cap_used in enumerate((cap, 2 * cap)):
-        status, cert = _relint_lp(collect_proper_traces(g, cap_used), r)
-        if status == "relative_interior":
-            return RelintResult(True, status, cap_used, cert)
-        if attempt == 1:
-            return RelintResult(False, status, cap_used, cert)
-    raise AssertionError("unreachable")
+        return RelintResult(True, "relative_interior", t_star)
+    return RelintResult(False, "boundary", t_star)
 
 
 def _as_target(r, n: int) -> np.ndarray:
@@ -296,35 +204,40 @@ def _as_target(r, n: int) -> np.ndarray:
 # -- base-case shape detection ----------------------------------------------
 
 
-def _path_order(g: GraphInstance) -> list[int] | None:
-    """Vertex order from v_out to v_in when g is a path with those ends."""
-    degs = [g.degree(v) for v in range(g.n)]
-    if g.n == 2:
-        return [g.v_out, g.v_in]
-    leaves = [v for v in range(g.n) if degs[v] == 1]
-    if max(degs) > 2 or len(leaves) != 2 or set(leaves) != {g.v_out, g.v_in}:
+def _path_order(adj, v_in: int, v_out: int) -> list[int] | None:
+    """Vertex order from v_out to v_in when the neighbour mapping ``adj`` is
+    a path with those ends."""
+    if len(adj) == 2:
+        return [v_out, v_in]
+    leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
+    if max(len(nbrs) for nbrs in adj.values()) > 2 or leaves != {v_out, v_in}:
         return None
-    order = [g.v_out]
+    order = [v_out]
     prev = -1
-    while order[-1] != g.v_in:
-        nbrs = [u for u in g.neighbors[order[-1]] if u != prev]
+    while order[-1] != v_in:
+        nbrs = [u for u in adj[order[-1]] if u != prev]
         if len(nbrs) != 1:
             return None
         prev = order[-1]
         order.append(nbrs[0])
-    return order if len(order) == g.n else None
+    return order if len(order) == len(adj) else None
 
 
-def _is_complete(g: GraphInstance) -> bool:
-    return g.n >= 3 and len(g.edges) == g.n * (g.n - 1) // 2
+def _is_complete(adj) -> bool:
+    n = len(adj)
+    return n >= 3 and all(len(nbrs) == n - 1 for nbrs in adj.values())
+
+
+def _family(adj, v_in: int, v_out: int) -> str:
+    if _path_order(adj, v_in, v_out) is not None:
+        return "path"
+    if _is_complete(adj):
+        return "complete"
+    return "other"
 
 
 def detect_family(g: GraphInstance) -> str:
-    if _path_order(g) is not None:
-        return "path"
-    if _is_complete(g):
-        return "complete"
-    return "other"
+    return _family(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
 
 
 # -- path solver --------------------------------------------------------------
@@ -349,7 +262,7 @@ def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition
     Raises NotInPsi when some alpha is nonpositive, the final consistency
     equation fails, or r(v_out) differs from 1.
     """
-    order = _path_order(g)
+    order = _path_order(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
     if order is None:
         raise ValueError("graph is not a path with endpoints v_out, v_in")
     r = _as_target(r, g.n)
@@ -463,7 +376,7 @@ def solve_complete(
     branch.  Every candidate root is validated by the fixed-point forward
     map; the returned weights are normalized so rho(v_out) = 1.
     """
-    if not _is_complete(g):
+    if not _is_complete(dict(enumerate(g.neighbors))):
         raise ValueError("graph is not complete (n >= 3)")
     r = _as_target(r, g.n)
     out, vin = g.v_out, g.v_in
@@ -665,31 +578,6 @@ def _residual_depths(adj: dict[int, set[int]], v_out: int) -> dict[int, int]:
     return depth
 
 
-def _residual_base(adj, v_in, v_out):
-    """("path", order) / ("complete", ids) / None for the residual graph."""
-    ids = sorted(adj)
-    degs = {v: len(adj[v]) for v in ids}
-    if len(ids) == 2:
-        return ("path", [v_out, v_in])
-    leaves = [v for v in ids if degs[v] == 1]
-    if max(degs.values()) <= 2 and set(leaves) == {v_out, v_in}:
-        order = [v_out]
-        prev = -1
-        while order[-1] != v_in:
-            nxt = [u for u in adj[order[-1]] if u != prev]
-            if len(nxt) != 1:
-                return None
-            prev = order[-1]
-            order.append(nxt[0])
-        if len(order) == len(ids):
-            return ("path", order)
-        return None
-    m = sum(degs.values()) // 2
-    if len(ids) >= 3 and m == len(ids) * (len(ids) - 1) // 2:
-        return ("complete", ids)
-    return None
-
-
 def solve_reducible(
     g: GraphInstance, r, *, verify_tol: float = 1e-8
 ) -> WeightAssignment:
@@ -707,8 +595,8 @@ def solve_reducible(
     records: list[tuple] = []
 
     while True:
-        base = _residual_base(adj, g.v_in, g.v_out)
-        if base is not None:
+        kind = _family(adj, g.v_in, g.v_out)
+        if kind != "other":
             break
         pendants = [
             u for u in adj if len(adj[u]) == 1 and u not in (g.v_in, g.v_out)
@@ -762,7 +650,6 @@ def solve_reducible(
             adj[z].discard(w_vtx)
         del adj[w_vtx]
 
-    kind = base[0]
     ids = sorted(adj)
     index = {old: new for new, old in enumerate(ids)}
     edges = [(index[a], index[b]) for a in ids for b in adj[a] if a < b]

@@ -119,7 +119,9 @@ def greens_functions(spec: SpectralData, T: np.ndarray) -> tuple[np.ndarray, np.
     """Green's matrices (scriptG, bigG) from eigenpairs and T = diag(tilde_rho).
 
     Verifies the pseudoinverse identities scriptG @ normL = I - phi0 phi0*
-    and scriptG @ phi0 = 0 on every evaluation.
+    and scriptG @ phi0 = 0 on every evaluation, relative to
+    max|scriptG| * max|normL|: rounding in the products grows with that
+    scale, which reaches ~1e8 near the positivity floor.
     """
     scriptG = _script_green(spec)
     lam = spec.eigenvalues
@@ -127,9 +129,10 @@ def greens_functions(spec: SpectralData, T: np.ndarray) -> tuple[np.ndarray, np.
     normL = (phi * lam[None, :]) @ phi.T
     phi0 = spec.phi0
     proj = np.eye(len(lam)) - np.outer(phi0, phi0)
-    if np.abs(scriptG @ normL - proj).max() > _IDENTITY_TOL:
+    tol = _IDENTITY_TOL * float(np.abs(scriptG).max() * np.abs(normL).max())
+    if np.abs(scriptG @ normL - proj).max() > tol:
         raise EigenFailure("pseudoinverse identity scriptG @ L = I - P violated")
-    if np.abs(scriptG @ phi0).max() > _IDENTITY_TOL:
+    if np.abs(scriptG @ phi0).max() > tol:
         raise EigenFailure("pseudoinverse identity scriptG @ phi0 = 0 violated")
     T = np.asarray(T, dtype=float)
     t_diag = np.diag(T) if T.ndim == 2 else T

@@ -184,14 +184,14 @@ def test_criterion_7_hull_dimension_lemma():
         v_in = next(v for v in sorted(G.nodes) if v != v_out)
         g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
         expected = n - 2 if g.bipartite else n - 1
-        got = ww.hull_dimension(g, 4 * n)
+        got = ww.hull_dimension(g)
         assert got == expected, (
             f"atlas graph n={n} edges={sorted(G.edges)}: dim {got} != {expected}"
         )
         checked += 1
     ok = checked == 142
     report(7, ok, f"hull dimension equals n-1/n-2 per bipartiteness on all "
-                  f"{checked} connected graphs with n <= 6 at cap 4n")
+                  f"{checked} connected graphs with n <= 6")
 
 
 def test_criterion_8_end_to_end_reconstruction():

@@ -229,7 +229,26 @@ def test_check_with_boundary_target(p3_file, tmp_path):
     assert main(["check", "--instance", p3_file, "--target", str(target),
                  "--out", out]) == 0
     data = read_json(out)
-    assert data["relint"] is False and data["cap_used"] == 24
+    assert data["relint"] is False
+
+
+@pytest.mark.parametrize("edges,v_in,rho", [
+    ([(0, 1), (1, 2)], 2, [1.0, 1.0, 13.0]),
+    ([(0, 1), (1, 2), (2, 3)], 3, [1.0, 1.0, 6.0, 6.0]),
+    ([(0, 1), (1, 2), (2, 3), (0, 3)], 2, [1.0, 1.0, 20.0, 1.0]),
+])
+def test_check_long_walk_target_is_member(tmp_path, edges, v_in, rho):
+    # Expected walk length sum(r) - 1 exceeds 8n on each of these targets.
+    g = ww.build_graph(len(rho), edges, v_in=v_in, v_out=0)
+    inst = tmp_path / "g.json"
+    ww.save_instance(inst, g)
+    r = ww.expected_occupation_fixed_point(g, ww.derived_weights(g, rho)).values
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps(r.tolist()))
+    out = str(tmp_path / "report.json")
+    assert main(["check", "--instance", str(inst), "--target", str(target),
+                 "--out", out]) == 0
+    assert read_json(out)["relint"] is True
 
 
 # -- gradcheck -----------------------------------------------------------------------

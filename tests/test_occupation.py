@@ -298,6 +298,17 @@ def test_empirical_matches_expected_at_scale():
     assert np.all(dev <= 4.0 * np.maximum(vec.stderr, 1e-15))
 
 
+def test_cumulative_rows_end_at_last_neighbour():
+    # A row whose cumulative sum rounds below 1 must not let a uniform in
+    # that gap step past the last neighbour to a non-adjacent vertex.
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        g = random_connected_instance(6, rng)
+        cum = _cumulative_rows(g, ww.derived_weights(g, random_rho(g, rng)))
+        for v, nbrs in enumerate(g.neighbors):
+            assert np.all(cum[v, nbrs[-1]:] == 1.0), (v, cum[v])
+
+
 def test_chunk_engine_step_limit():
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))

@@ -272,6 +272,16 @@ def test_reconstruct_random_tree_round_trip():
     assert res.weights.rho[res.instance.v_out] == 1.0
 
 
+def test_reconstruct_tree_near_positivity_floor():
+    # Descent on this tree drives max|scriptG| to ~1e8, where rounding in
+    # the Green's identity checks exceeds any fixed absolute tolerance.
+    edges = [(0, 5), (1, 3), (1, 5), (1, 6), (2, 6), (4, 6), (4, 7), (4, 8), (7, 9)]
+    g = ww.build_graph(10, edges, v_in=9, v_out=8)
+    hidden = [1.639, 0.553, 1.039, 0.745, 1.998, 0.716, 0.866, 1.036, 1.0, 1.806]
+    res = ww.reconstruct_weights(g, tau_of(g, hidden))
+    assert res.status == "converged"
+
+
 def test_descent_is_monotone_and_pinned():
     rng = np.random.default_rng(28)
     g = random_tree(6, rng)

@@ -1,4 +1,5 @@
-"""Trace hulls, relint membership, closed-form solvers, and reductions."""
+"""Walk enumeration, the arc-flow hull and relint membership, closed-form
+solvers, and reductions."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from synth import (
     cycle_instance,
     path_instance,
     petersen_instance,
-    random_connected_instance,
     random_rho,
     random_tree,
     tau_of,
@@ -21,7 +21,6 @@ from walkweights.errors import (
     NotInPsi,
     NotTwins,
 )
-from walkweights.solvability import collect_proper_traces
 
 
 def single_edge():
@@ -84,16 +83,6 @@ def test_enumerate_cap_too_small():
         ww.enumerate_proper_walks(path_instance(4), 2)
 
 
-def test_deduplicated_traces_match_walk_enumeration():
-    rng = np.random.default_rng(30)
-    for g in (path_instance(4), complete_instance(4), cycle_instance(5),
-              random_connected_instance(5, rng)):
-        cap = 8
-        from_walks = {tuple(w.trace.tolist()) for w in ww.enumerate_proper_walks(g, cap)}
-        from_sweep = set(collect_proper_traces(g, cap))
-        assert from_walks == from_sweep
-
-
 def test_bipartite_hyperplane_exact():
     for g in (path_instance(4), cycle_instance(6)):
         c = g.bipartition
@@ -119,12 +108,35 @@ def test_hull_dimension_lemma_small_cases():
         assert ww.hull_dimension(g) == g.n - 1  # non-bipartite
 
 
-def test_trace_hull_object():
-    g = path_instance(3)
-    hull = ww.trace_hull(g, 6)
-    assert hull.affine_dimension == 1
-    assert hull.bipartite_flag
-    assert all(tr[g.v_out] == 1 for tr in hull.generators)
+def test_arc_flow_hull_matches_walk_enumeration():
+    # Oracle: the traces of all proper walks of length <= 2n span the hull
+    # on every connected graph with n <= 4, for every (v_in, v_out) pair.
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = np.random.default_rng(32)
+    checked = 0
+    for G in graph_atlas_g():
+        n = G.number_of_nodes()
+        if n < 2 or n > 4 or not nx.is_connected(G):
+            continue
+        for v_in in range(n):
+            for v_out in range(n):
+                if v_in == v_out:
+                    continue
+                g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
+                traces = np.array(sorted(
+                    {tuple(w.trace) for w in ww.enumerate_proper_walks(g, 2 * n)}
+                ), dtype=float)
+                rank = np.linalg.matrix_rank(traces[1:] - traces[0])
+                assert ww.hull_dimension(g) == rank, (sorted(G.edges), v_in, v_out)
+                lam = rng.uniform(0.1, 1.0, len(traces))
+                mix = lam @ traces / lam.sum()
+                assert ww.relint_membership(g, mix).status == "relative_interior"
+                for tr in traces:
+                    assert ww.relint_membership(g, tr).status != "outside_hull"
+                checked += 1
+    assert checked == 86
 
 
 # -- relint membership ---------------------------------------------------------------
@@ -139,7 +151,6 @@ def test_relint_p3_interior():
 def test_relint_p3_boundary():
     res = ww.relint_membership(path_instance(3), [1.0, 1.0, 1.0])
     assert not res.member and res.status == "boundary"
-    assert res.cap_used == 24  # one escalation from the default 4n
 
 
 def test_relint_p3_off_hyperplane():
@@ -154,6 +165,28 @@ def test_relint_necessity_on_forward_maps():
     for g in graphs:
         r = tau_of(g, random_rho(g, rng))
         assert ww.relint_membership(g, r).member
+
+
+def test_relint_long_walk_targets():
+    for g, rho in ((path_instance(3), [1.0, 1.0, 13.0]),
+                   (path_instance(4), [1.0, 1.0, 6.0, 6.0]),
+                   (cycle_instance(4), [1.0, 1.0, 20.0, 1.0])):
+        r = tau_of(g, rho)
+        assert r.sum() - 1 > 8 * g.n  # expected walk length beyond any 8n cap
+        res = ww.relint_membership(g, r)
+        assert res.member and res.status == "relative_interior"
+
+
+def test_relint_rejects_off_manifold_targets():
+    g = cycle_instance(4)
+    r = tau_of(g, [1.0, 1.0, 20.0, 1.0])
+    # r(v_out) != 1, then the bipartite parity hyperplane left.
+    for bad in (r * [2.0, 1, 1, 1], r + [0.0, 0.0, 0.5, 0.0]):
+        assert ww.relint_membership(g, bad).status == "outside_hull"
+    # Mass on vertex 0, which no walk from 2 reaches before absorption at 1.
+    g = ww.build_graph(3, [(0, 1), (1, 2)], v_in=2, v_out=1)
+    assert ww.relint_membership(g, [0.5, 1.0, 1.0]).status == "outside_hull"
+    assert ww.relint_membership(g, [0.0, 1.0, 1.0]).status == "relative_interior"
 
 
 # -- path solver -----------------------------------------------------------------------
