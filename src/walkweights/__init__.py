@@ -3,7 +3,7 @@
 The library computes expected visit counts three independent ways
 (Green's-function formula, fixed-point solve, seeded Monte Carlo),
 reconstructs vertex weights from target occupation times by
-analytic-gradient steepest descent, and decides/constructs exact solutions
+adjoint-gradient steepest descent, and decides/constructs exact solutions
 on paths, complete graphs, and pendant/twin-reducible graphs.
 """
 

@@ -114,10 +114,13 @@ def occupation_matrix(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
     return M
 
 
-def expected_occupation_fixed_point(
-    g: GraphInstance, w: WeightAssignment
-) -> OccupationVector:
-    """Solve M r = r with r(v_out) pinned to 1 by direct linear solve."""
+def _pinned_fixed_point(g: GraphInstance, w: WeightAssignment):
+    """Solve the pinned system A r = e_out, A = M - I with its v_out row
+    replaced by e_out; return r and the LU factors of A.
+
+    The factors are returned so that the adjoint gradient can back-solve
+    with A^T at the same point without factoring again.
+    """
     n, out = g.n, g.v_out
     M = occupation_matrix(g, w)
     A = M - np.eye(n)
@@ -129,13 +132,22 @@ def expected_occupation_fixed_point(
         with warnings.catch_warnings():
             # The residual check below is the authority on solution quality.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            r = scipy.linalg.solve(A, b)
+            lu = scipy.linalg.lu_factor(A)
+            r = scipy.linalg.lu_solve(lu, b)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystem(f"pinned fixed-point system is singular: {exc}") from exc
     if not np.all(np.isfinite(r)) or np.abs(M @ r - r).max() > 1e-8 * max(
         1.0, np.abs(r).max()
     ):
         raise SingularSystem("fixed-point residual check failed")
+    return r, lu
+
+
+def expected_occupation_fixed_point(
+    g: GraphInstance, w: WeightAssignment
+) -> OccupationVector:
+    """Solve M r = r with r(v_out) pinned to 1 by direct linear solve."""
+    r, _ = _pinned_fixed_point(g, w)
     return OccupationVector(values=_clip_tiny(r), kind="expected")
 
 

@@ -2,12 +2,15 @@
 
 The cost is the squared l2 gap between the target tau-hat and the model's
 expected occupation vector.  Its gradient with respect to each free vertex
-weight (v_out stays pinned at 1) is assembled analytically through the
-Green's-function chain: weight jacobians, the normalized-Laplacian
-derivative, the null-eigenvector derivative, and the pseudoinverse
-derivative formula.  A central-difference oracle with the same step + pin
-conventions is provided both as an alternate gradient mode and as the
-ground truth the analytic path is validated against.
+weight (v_out stays pinned at 1) comes by default from the adjoint of the
+pinned fixed-point system A r = e_out that the cost already solves: one
+transposed back-solve with A's LU factors and a few adjacency mat-vecs per
+descent point.  The paper's Green's-function chain (weight jacobians, the
+normalized-Laplacian derivative, the null-eigenvector derivative, and the
+pseudoinverse derivative formula) stays as ``mode="green"``, the reference
+oracle the adjoint is tested against.  A central-difference oracle with the
+same step + pin conventions is the third mode and the ground truth both
+analytic routes are validated against.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     Disconnected,
@@ -24,7 +28,11 @@ from .errors import (
     ZeroVariance,
 )
 from .graph_core import GraphInstance, WeightAssignment, build_graph, derived_weights
-from .occupation import OccupationVector, expected_occupation_fixed_point
+from .occupation import (
+    OccupationVector,
+    _pinned_fixed_point,
+    expected_occupation_fixed_point,
+)
 from .spectral_green import SpectralData, pseudoinverse_derivative, spectral_data
 
 __all__ = [
@@ -46,6 +54,7 @@ __all__ = [
 ]
 
 FD_REL_STEP = 1e-5
+GRADIENT_MODES = ("adjoint", "green", "finite_difference")
 _MIN_ETA = 1e-18
 
 
@@ -67,14 +76,14 @@ class ReconstructionConfig:
     cost_tol: float = 1e-8
     step_rule: FixedStep | Backtracking = Backtracking()
     positivity_floor: float = 1e-8
-    gradient_mode: str = "analytic"  # or "finite_difference"
+    gradient_mode: str = "adjoint"  # or "green", "finite_difference"
 
     def __post_init__(self):
         if self.cost_tol <= 0:
             raise ValueError("cost_tol must be positive")
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
-        if self.gradient_mode not in ("analytic", "finite_difference"):
+        if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
 
 
@@ -260,51 +269,72 @@ def _d_tau(
     return d_tau
 
 
+def _adjoint_gradient(
+    g: GraphInstance, w: WeightAssignment, r: np.ndarray, lu, resid: np.ndarray
+) -> np.ndarray:
+    """d(cost)/d rho over all vertices by the adjoint of A r = e_out.
+
+    With A^T lam = 2 resid, d(cost)/d rho(x) = -lam^T (dA/d rho(x)) r.  Only
+    M's transient block depends on rho, M(v, u) = rho(v) / s(u) with
+    s = adj @ rho, so that product collapses to two adjacency mat-vecs.
+    The v_out entry is meaningless (rho(v_out) is pinned).
+    """
+    adj, out = g.adjacency, g.v_out
+    lam = scipy.linalg.lu_solve(lu, 2.0 * resid, trans=1)
+    s = adj @ w.rho
+    q = r / s
+    q[out] = 0.0
+    lam_rho = lam * w.rho
+    lam_rho[out] = 0.0
+    c = adj @ lam_rho
+    return -(lam * (adj @ q) - adj @ (q * c / s))
+
+
 def occupation_gradient(
     g: GraphInstance,
     w: WeightAssignment,
     tau_hat,
     *,
-    mode: str = "analytic",
+    mode: str = "adjoint",
     keep_bundles: bool = True,
 ) -> GradientReport:
     """Cost and its gradient over V minus v_out.
 
-    ``mode="analytic"`` walks the Green's-function chain; the residual
-    itself uses the fixed-point occupation vector (the two forward routes
-    agree to well below gradient tolerances).  ``mode="finite_difference"``
+    ``mode="adjoint"`` back-solves the transposed pinned fixed-point system
+    with the LU factors of the forward solve.  ``mode="green"`` walks the
+    paper's Green's-function chain and, with ``keep_bundles``, retains each
+    vertex's derivative bundle; the residual itself still uses the
+    fixed-point occupation vector (the two forward routes agree to well
+    below gradient tolerances).  ``mode="finite_difference"``
     central-differences the cost instead.
     """
+    if mode not in GRADIENT_MODES:
+        raise ValueError(f"unknown gradient mode {mode!r}")
     tau = _tau_array(tau_hat, g.n)
     _check_full_support(g, tau)
     free = tuple(v for v in range(g.n) if v != g.v_out)
-    model = expected_occupation_fixed_point(g, w).values
-    resid = model - tau
+    r, lu = _pinned_fixed_point(g, w)
+    resid = r - tau
     resid[g.v_out] = 0.0
     theta = float(resid @ resid)
 
-    if mode == "finite_difference":
+    bundles = None
+    if mode == "adjoint":
+        grad = _adjoint_gradient(g, w, r, lu, resid)[list(free)]
+    elif mode == "finite_difference":
         grad = finite_difference_gradient(g, w.rho, tau)
-        return GradientReport(
-            cost=theta, gradient=grad, free_vertices=free, tau=model, bundles=None
-        )
-    if mode != "analytic":
-        raise ValueError(f"unknown gradient mode {mode!r}")
-
-    spec = spectral_data(g, w)
-    grad = np.empty(len(free))
-    bundles = []
-    for k, x in enumerate(free):
-        bundle = _fill_green_derivative(w, spec, weight_jacobians(g, w, x))
-        grad[k] = 2.0 * float(resid @ _d_tau(g, w, spec, bundle))
-        if keep_bundles:
-            bundles.append(bundle)
+    else:
+        spec = spectral_data(g, w)
+        grad = np.empty(len(free))
+        kept = []
+        for k, x in enumerate(free):
+            bundle = _fill_green_derivative(w, spec, weight_jacobians(g, w, x))
+            grad[k] = 2.0 * float(resid @ _d_tau(g, w, spec, bundle))
+            if keep_bundles:
+                kept.append(bundle)
+        bundles = tuple(kept) if keep_bundles else None
     return GradientReport(
-        cost=theta,
-        gradient=grad,
-        free_vertices=free,
-        tau=model,
-        bundles=tuple(bundles) if keep_bundles else None,
+        cost=theta, gradient=grad, free_vertices=free, tau=r, bundles=bundles
     )
 
 

@@ -160,6 +160,21 @@ def test_reconstruct_nonconvergence_exit_code(p3_file, tmp_path):
     assert read_json(out)["status"] in ("max_iters", "no_descent")
 
 
+def test_reconstruct_manifest_names_gradient_mode(p3_file, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([1.0, 2.2, 2.2]))
+    for mode in (None, "green"):
+        out = str(tmp_path / f"w_{mode}.json")
+        flag = [] if mode is None else ["--gradient-mode", mode]
+        assert main(["reconstruct", "--instance", p3_file, "--target",
+                     str(target), "--out", out] + flag) == 0
+        assert read_json(out)["manifest"]["gradient_mode"] == (mode or "adjoint")
+    with pytest.raises(SystemExit):
+        main(["reconstruct", "--instance", p3_file, "--target", str(target),
+              "--gradient-mode", "analytic"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -265,6 +280,17 @@ def test_gradcheck_k3_with_report(k3_file, tmp_path):
                  "--out", out]) == 0
     data = read_json(out)
     assert data["passed"] is True and data["max_rel_error"] <= 1e-5
+
+
+def test_gradcheck_reports_both_routes(k3_file, tmp_path, capsys):
+    out = str(tmp_path / "g.json")
+    assert main(["gradcheck", "--instance", k3_file, "--seed", "2",
+                 "--out", out]) == 0
+    data = read_json(out)
+    routes = (data["adjoint_rel_error"], data["green_rel_error"])
+    assert data["max_rel_error"] == max(routes) <= 1e-5
+    printed = capsys.readouterr().out
+    assert "adjoint" in printed and "green" in printed
 
 
 def test_missing_instance_file(tmp_path, capsys):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkweights as ww
 import walkweights.reconstruct
@@ -173,12 +175,72 @@ def test_gradient_matches_fd_random_triples():
     assert worst <= 1e-5
 
 
+@st.composite
+def gradient_cases(draw):
+    """A random tree or connected graph with n = 2..9, weights rho at which
+    to differentiate, and the target of other hidden weights.
+
+    Weights are log-uniform in [1e-1, 1e1].  Both oracles lose accuracy
+    beyond that band: at weight spreads near 1e4 the Green's chain and
+    central differences were each off by up to ~1e-3 from a 40-digit
+    evaluation of the gradient, the adjoint by at most ~1e-6.
+    """
+    n = draw(st.integers(2, 9))
+    maker = draw(st.sampled_from([random_tree, random_connected_instance]))
+    g = maker(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    log_weights = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+    rho = 10.0 ** np.array(draw(log_weights))
+    hidden = 10.0 ** np.array(draw(log_weights))
+    rho[g.v_out] = hidden[g.v_out] = 1.0
+    return g, rho, tau_of(g, hidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_cases())
+def test_adjoint_matches_green_chain(case):
+    g, rho, tau_hat = case
+    w = ww.derived_weights(g, rho)
+    adjoint = ww.occupation_gradient(g, w, tau_hat)
+    green = ww.occupation_gradient(g, w, tau_hat, mode="green")
+    assert np.abs(adjoint.gradient - green.gradient).max() <= 1e-9 * max(
+        1.0, np.abs(green.gradient).max()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_cases())
+def test_adjoint_matches_finite_differences(case):
+    g, rho, tau_hat = case
+    adjoint = ww.occupation_gradient(g, ww.derived_weights(g, rho), tau_hat)
+    fd = ww.finite_difference_gradient(g, rho, tau_hat)
+    # Central differences err by O(h^2), and halving h moves them by 3/4 of
+    # that error.  The error is not small against the gradient near the
+    # optimum of long-walk targets (tau ~ 1e3), where the curvature is
+    # ~1e9 and the gradient ~0, so it is added to the tolerance.
+    fd_half = ww.finite_difference_gradient(
+        g, rho, tau_hat, rel_step=walkweights.reconstruct.FD_REL_STEP / 2
+    )
+    own_error = 2.0 * np.abs(fd - fd_half).max()
+    assert np.abs(adjoint.gradient - fd).max() <= (
+        1e-5 * max(1.0, np.abs(fd).max()) + own_error
+    )
+
+
+def test_gradient_rejects_unknown_mode():
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    with pytest.raises(ValueError):
+        ww.occupation_gradient(g, w, [1.0, 2.0, 2.0], mode="analytic")
+    with pytest.raises(ValueError):
+        ww.ReconstructionConfig(gradient_mode="analytic")
+
+
 def test_gradient_fd_mode_agrees():
     g = random_tree(5, np.random.default_rng(24))
     rho = random_rho(g, np.random.default_rng(25))
     tau_hat = tau_of(g, random_rho(g, np.random.default_rng(26)))
     w = ww.derived_weights(g, rho)
-    a = ww.occupation_gradient(g, w, tau_hat, mode="analytic")
+    a = ww.occupation_gradient(g, w, tau_hat, mode="green")
     b = ww.occupation_gradient(g, w, tau_hat, mode="finite_difference")
     assert np.abs(a.gradient - b.gradient).max() <= 1e-5 * max(
         1.0, np.abs(b.gradient).max()
@@ -202,7 +264,9 @@ def test_gradient_gives_descent_direction():
 def test_gradient_bundles_retained():
     g = complete_instance(3)
     w = ww.derived_weights(g, np.array([1.0, 0.8, 1.3]))
-    rep = ww.occupation_gradient(g, w, tau_of(g, np.array([1.0, 1.2, 0.7])))
+    rep = ww.occupation_gradient(
+        g, w, tau_of(g, np.array([1.0, 1.2, 0.7])), mode="green"
+    )
     assert len(rep.bundles) == g.n - 1
     for bundle in rep.bundles:
         assert bundle.d_big_green is not None
@@ -260,6 +324,22 @@ def test_reconstruct_p4_target():
     P_rec = ww.transition_matrix(res.instance, res.weights)
     P_true = ww.transition_matrix(g, ww.solve_path(g, target))
     assert np.abs(P_rec - P_true).max() <= 1e-3
+
+
+def test_green_mode_reconstruction_converges():
+    # The descent loop no longer takes the Green's chain by default; keep
+    # the paper's route covered end to end.
+    cfg = ww.ReconstructionConfig(cost_tol=1e-10, gradient_mode="green")
+    g = path_instance(4)
+    res = ww.reconstruct_weights(g, [1.0, 2.0, 3.0, 2.0], cfg)
+    assert res.converged and res.final_cost <= 1e-10
+    rng = np.random.default_rng(41)
+    g = random_tree(6, rng)
+    res = ww.reconstruct_weights(
+        g, tau_of(g, random_rho(g, rng)),
+        ww.ReconstructionConfig(gradient_mode="green"),
+    )
+    assert res.converged
 
 
 def test_reconstruct_random_tree_round_trip():
