@@ -10,11 +10,9 @@ on paths, complete graphs, and pendant/twin-reducible graphs.
 from . import errors
 from .graph_core import (
     GraphInstance,
-    GraphMetrics,
     WeightAssignment,
     build_graph,
     derived_weights,
-    graph_metrics,
     instance_from_dict,
     instance_to_dict,
     laplacians,
@@ -51,18 +49,14 @@ from .reconstruct import (
 from .solvability import (
     PathDecomposition,
     RelintResult,
-    TwinSplit,
     detect_family,
     enumerate_proper_walks,
-    extend_pendant,
     hull_dimension,
     path_decompose,
-    reduce_twins,
     relint_membership,
     solve_complete,
     solve_path,
     solve_reducible,
-    trace_vector,
 )
 from .spectral_green import (
     SpectralData,
@@ -70,7 +64,6 @@ from .spectral_green import (
     greens_functions,
     pseudoinverse_derivative,
     spectral_data,
-    symmetric_pseudoinverse,
 )
 
 __version__ = "0.1.0"

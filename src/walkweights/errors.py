@@ -61,6 +61,11 @@ class StepLimitExceeded(WalkWeightsError):
     """A simulated walk hit the step cap before absorption."""
 
 
+class InvalidTarget(WalkWeightsError, ValueError):
+    """A target occupation vector has the wrong shape or a non-finite entry,
+    or a negative entry where its support is taken."""
+
+
 # -- reconstruction ------------------------------------------------------
 
 class SupportMismatch(WalkWeightsError):
@@ -93,20 +98,8 @@ class NotInPsi(WalkWeightsError):
     """The target occupation vector is outside the solvable cone."""
 
 
-class NotTwins(WalkWeightsError):
-    """The named vertices do not have identical neighborhoods."""
-
-
 class Irreducible(WalkWeightsError):
     """No pendant/twin reduction applies and no base-case solver fits."""
-
-
-class AlphaOutOfRange(WalkWeightsError):
-    """Pendant extension mass must satisfy 0 < alpha < r(v)."""
-
-
-class BracketFailure(WalkWeightsError):
-    """Root bracketing for the complete-graph inversion failed."""
 
 
 class VerificationError(WalkWeightsError):

@@ -31,12 +31,10 @@ from .errors import (
 __all__ = [
     "GraphInstance",
     "WeightAssignment",
-    "GraphMetrics",
     "build_graph",
     "derived_weights",
     "transition_matrix",
     "laplacians",
-    "graph_metrics",
     "load_instance",
     "instance_to_dict",
     "save_instance",
@@ -94,29 +92,23 @@ class WeightAssignment:
         return derived_weights(self.graph, self.rho / self.rho[self.graph.v_out])
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    distances: np.ndarray
-    bipartite: bool
-    bipartition: np.ndarray | None
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def _bfs_components(n: int, neighbors, start: int, skip: int | None = None):
-    """Vertices reachable from start, optionally ignoring one vertex."""
-    seen = {start}
+def _bfs_depths(neighbors, start: int, skip: int | None = None) -> dict[int, int]:
+    """Hop counts from ``start`` to every vertex it reaches without entering
+    ``skip``; ``neighbors`` maps each vertex to its neighbours."""
+    depth = {start: 0}
     q = deque([start])
     while q:
         u = q.popleft()
         for v in neighbors[u]:
-            if v != skip and v not in seen:
-                seen.add(v)
+            if v != skip and v not in depth:
+                depth[v] = depth[u] + 1
                 q.append(v)
-    return seen
+    return depth
 
 
 def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
@@ -158,30 +150,18 @@ def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
         tuple(int(v) for v in np.flatnonzero(adjacency[u])) for u in range(n)
     )
 
-    reach = _bfs_components(n, neighbors, v_out)
-    if len(reach) != n:
-        missing = sorted(set(range(n)) - reach)
+    depth = _bfs_depths(neighbors, v_out)
+    if len(depth) != n:
+        missing = sorted(set(range(n)) - depth.keys())
         raise Disconnected(f"vertices {missing} unreachable from v_out={v_out}")
-    reach_wo = _bfs_components(n, neighbors, v_in, skip=v_out)
-    out_removed_connected = len(reach_wo) == n - 1
+    out_removed_connected = len(_bfs_depths(neighbors, v_in, skip=v_out)) == n - 1
 
-    # BFS distances to v_out and 2-coloring in one sweep over the graph.
-    distances = np.full(n, -1, dtype=np.int64)
-    color = np.zeros(n, dtype=np.int64)
-    distances[v_out] = 0
-    color[v_out] = 1
-    bipartite = True
-    q = deque([v_out])
-    while q:
-        u = q.popleft()
-        for v in neighbors[u]:
-            if distances[v] < 0:
-                distances[v] = distances[u] + 1
-                color[v] = -color[u]
-                q.append(v)
-            elif color[v] == color[u]:
-                bipartite = False
-    bipartition = _freeze(color) if bipartite else None
+    # A connected graph is bipartite exactly when every edge joins depths of
+    # different parity; the coloring is then +1 at even depth, -1 at odd.
+    parity = [depth[v] % 2 for v in range(n)]
+    bipartite = all(parity[x] != parity[y] for x, y in canon)
+    distances = np.array([depth[v] for v in range(n)], dtype=np.int64)
+    bipartition = _freeze(1 - 2 * (distances % 2)) if bipartite else None
 
     return GraphInstance(
         n=n,
@@ -243,13 +223,13 @@ def laplacians(g: GraphInstance, w: WeightAssignment):
     return L, T, normL
 
 
-def graph_metrics(g: GraphInstance) -> GraphMetrics:
-    """BFS distances to v_out, bipartiteness, and the +/-1 coloring."""
-    return GraphMetrics(
-        distances=g.distances,
-        bipartite=g.bipartite,
-        bipartition=g.bipartition,
-    )
+def _induced_subgraph(g: GraphInstance, keep) -> GraphInstance:
+    """The subgraph of ``g`` induced on the sorted vertex ids ``keep``,
+    re-indexed ``0..len(keep)-1`` in that order; ``keep`` must contain
+    v_in and v_out."""
+    index = {v: k for k, v in enumerate(keep)}
+    edges = [(index[x], index[y]) for x, y in g.edges if x in index and y in index]
+    return build_graph(len(keep), edges, index[g.v_in], index[g.v_out])
 
 
 # -- JSON instance files ---------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import Disconnected, SingularSystem, StepLimitExceeded
+from .errors import Disconnected, InvalidTarget, SingularSystem, StepLimitExceeded
 from .graph_core import GraphInstance, WeightAssignment, transition_matrix
 from .spectral_green import SpectralData, spectral_data
 
@@ -59,6 +59,24 @@ class OccupationVector:
     values: np.ndarray
     kind: str
     stderr: np.ndarray | None = None
+
+
+def _target_array(target, n: int) -> np.ndarray:
+    """A target occupation vector (array-like or OccupationVector) as a
+    float array of shape (n,).
+
+    Raises InvalidTarget on a wrong shape or a non-finite entry, naming the
+    vertex; sign and support are left to the caller.
+    """
+    if isinstance(target, OccupationVector):
+        target = target.values
+    arr = np.asarray(target, dtype=float)
+    if arr.shape != (n,):
+        raise InvalidTarget(f"target has shape {arr.shape}, expected ({n},)")
+    if not np.isfinite(arr).all():
+        v = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise InvalidTarget(f"target entry at vertex {v} is {arr[v]}, not finite")
+    return arr
 
 
 @dataclass(frozen=True)

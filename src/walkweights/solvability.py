@@ -24,25 +24,17 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .errors import (
-    AlphaOutOfRange,
-    BracketFailure,
-    CapTooSmall,
-    Irreducible,
-    NotInPsi,
-    NotTwins,
-    VerificationError,
-)
+from .errors import CapTooSmall, Irreducible, NotInPsi, VerificationError
 from .graph_core import (
     GraphInstance,
     WeightAssignment,
-    _bfs_components,
-    build_graph,
+    _bfs_depths,
+    _induced_subgraph,
     derived_weights,
 )
 from .occupation import (
-    OccupationVector,
     WalkTrace,
+    _target_array,
     expected_occupation_fixed_point,
     make_walk_trace,
 )
@@ -50,8 +42,6 @@ from .occupation import (
 __all__ = [
     "PathDecomposition",
     "RelintResult",
-    "TwinSplit",
-    "trace_vector",
     "enumerate_proper_walks",
     "hull_dimension",
     "relint_membership",
@@ -59,8 +49,6 @@ __all__ = [
     "path_decompose",
     "solve_path",
     "solve_complete",
-    "extend_pendant",
-    "reduce_twins",
     "solve_reducible",
 ]
 
@@ -69,12 +57,6 @@ _HYPERPLANE_ATOL = 1e-9
 
 
 # -- traces and walks -------------------------------------------------------
-
-
-def trace_vector(walk: WalkTrace) -> np.ndarray:
-    """Visit-count vector of a walk (recomputed from the vertex sequence)."""
-    n = len(walk.trace)
-    return np.bincount(np.asarray(walk.vertices), minlength=n).astype(np.int64)
 
 
 def enumerate_proper_walks(g: GraphInstance, length_cap: int) -> list[WalkTrace]:
@@ -119,7 +101,7 @@ def _arc_incidence(g: GraphInstance) -> tuple[np.ndarray, np.ndarray]:
     Those are the arcs (u, v) leaving every u that a walk reaches from v_in
     without passing v_out.
     """
-    reach = sorted(_bfs_components(g.n, g.neighbors, g.v_in, skip=g.v_out))
+    reach = sorted(_bfs_depths(g.neighbors, g.v_in, skip=g.v_out))
     arcs = np.array([(u, v) for u in reach for v in g.neighbors[u]])
     cols = np.arange(len(arcs))
     head = np.zeros((g.n, len(arcs)))
@@ -169,7 +151,7 @@ def relint_membership(g: GraphInstance, r) -> RelintResult:
     at every v != v_out.  Those equations force r(v_out) = 1 and r = 0 off
     the vertices a walk can reach, so no other check is needed.
     """
-    r = _as_target(r, g.n)
+    r = _target_array(r, g.n)
     head, tail = _arc_incidence(g)
     keep = np.arange(g.n) != g.v_out
     flow = np.vstack([head, tail[keep]])
@@ -189,16 +171,6 @@ def relint_membership(g: GraphInstance, r) -> RelintResult:
     if t_star > RELINT_CERT_TOL:
         return RelintResult(True, "relative_interior", t_star)
     return RelintResult(False, "boundary", t_star)
-
-
-def _as_target(r, n: int) -> np.ndarray:
-    if isinstance(r, OccupationVector):
-        arr = np.asarray(r.values, dtype=float)
-    else:
-        arr = np.asarray(r, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"target has shape {arr.shape}, expected ({n},)")
-    return arr
 
 
 # -- base-case shape detection ----------------------------------------------
@@ -265,7 +237,7 @@ def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition
     order = _path_order(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
     if order is None:
         raise ValueError("graph is not a path with endpoints v_out, v_in")
-    r = _as_target(r, g.n)
+    r = _target_array(r, g.n)
     rr = r[list(order)]
     n = g.n
     if abs(rr[0] - 1.0) > atol:
@@ -308,55 +280,26 @@ def solve_path(g: GraphInstance, r, atol: float = 1e-9) -> WeightAssignment:
     rho = np.empty(n)
     rho[list(dec.order)] = rho_pos
     w = derived_weights(g, rho)
-    _verify_forward(g, w, _as_target(r, n), 1e-9, "path solver")
+    _verify_forward(g, w, _target_array(r, n), 1e-9, "path solver")
     return w
 
 
 # -- complete-graph solver -----------------------------------------------------
 
 
-def _complete_r2(b1: float, r_rest: np.ndarray, j_plus: int | None) -> float:
-    """r(v_in) induced by beta_1 = b1 on a complete graph.
+def _complete_betas(t: float, r_rest: np.ndarray, j_max: int, r_max: float):
+    """beta_1 and the betas of the non-out, non-in vertices when the vertex
+    ``j_max`` of largest target has beta = t.
 
-    ``r_rest`` holds the targets for the non-out, non-in vertices;
-    ``j_plus`` selects which of them (if any) takes the addition branch
-    beta_j = (1 + sqrt(1 - 4 r_j b1)) / 2.
+    beta_1 = t (1 - t) / r_max, and every other vertex takes the root
+    beta_j = (1 - sqrt(1 - 4 r_j beta_1)) / 2 of beta_j (1 - beta_j)
+    = r_j beta_1, which is at most 1/2.
     """
+    b1 = t * (1.0 - t) / r_max
     c = 4.0 * r_rest * b1
-    disc = np.sqrt(np.maximum(1.0 - c, 0.0))
-    u = c / (1.0 + disc)  # stable form of 1 - sqrt(1 - c)
-    if j_plus is not None:
-        u = u.copy()
-        u[j_plus] = 1.0 + disc[j_plus]
-    U = float(u.sum())
-    return (2.0 - U) * (2.0 * b1 + U) / (4.0 * b1)
-
-
-def _betas_from_b1(
-    b1: float, r_rest: np.ndarray, j_plus: int | None
-) -> np.ndarray:
-    c = 4.0 * r_rest * b1
-    disc = np.sqrt(np.maximum(1.0 - c, 0.0))
-    betas = (c / (1.0 + disc)) / 2.0
-    if j_plus is not None:
-        betas = betas.copy()
-        betas[j_plus] = (1.0 + disc[j_plus]) / 2.0
-    return betas
-
-
-def _bisect(f, lo: float, hi: float, f_lo: float, tol: float, iters: int) -> float:
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    betas = c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c, 0.0))))  # stable form
+    betas[j_max] = t
+    return b1, betas
 
 
 def solve_complete(
@@ -364,29 +307,33 @@ def solve_complete(
     r,
     *,
     verify_tol: float = 1e-8,
-    bisect_tol: float = 1e-12,
+    bisect_tol: float = 1e-15,
     max_bisect: int = 200,
 ) -> WeightAssignment:
     """Exact simplex weights for a complete-graph target.
 
     Solves r_j = beta_j (1 - beta_j) / beta_1 for j not in {out, in} and
-    r(v_in) = (1 + beta_2/beta_1)(1 - beta_2) by bracketing beta_1 on
-    (0, 1/(4 max r_j)].  Both square-root branches are scanned: either all
-    beta_j <= 1/2, or exactly the maximal-r vertex takes the addition
-    branch.  Every candidate root is validated by the fixed-point forward
-    map; the returned weights are normalized so rho(v_out) = 1.
+    r(v_in) = (1 + beta_in/beta_1)(1 - beta_in) on the open simplex.  Only
+    the vertex j_max of largest r_j can have beta_j > 1/2, so its beta
+    t in (0, 1) fixes every other beta; r(v_in) tends to 1 + sum_j r_j as
+    t -> 0 and to r_max - (sum of the other r_j) as t -> 1, so the two
+    bounds bracket a root, found by bisection on t.  Unlike beta_1, t keeps
+    every beta a smooth function of the unknown, also where beta(j_max) is
+    near 1/2.  A root has beta_in > 0 exactly when r(v_in) > 1.  The result
+    is verified by the fixed-point forward map; the returned weights are
+    normalized so rho(v_out) = 1.
     """
     if not _is_complete(dict(enumerate(g.neighbors))):
         raise ValueError("graph is not complete (n >= 3)")
-    r = _as_target(r, g.n)
+    r = _target_array(r, g.n)
     out, vin = g.v_out, g.v_in
     if abs(r[out] - 1.0) > _HYPERPLANE_ATOL:
         raise NotInPsi(f"r(v_out) = {r[out]} but must equal 1")
     rest = [v for v in range(g.n) if v not in (out, vin)]
     r_rest = r[rest]
     r2 = float(r[vin])
-    if np.any(r_rest <= 0) or r2 <= 0:
-        bad = rest[int(np.flatnonzero(r_rest <= 0)[0])] if np.any(r_rest <= 0) else vin
+    if np.any(r_rest <= 0):
+        bad = rest[int(np.flatnonzero(r_rest <= 0)[0])]
         raise NotInPsi(f"r({bad}) must be positive")
     j_max = int(np.argmax(r_rest))
     r_max = float(r_rest[j_max])
@@ -400,154 +347,32 @@ def solve_complete(
         raise NotInPsi(
             f"lower bound violated: r(v_in) = {r2} must be > {r_max - s_others}"
         )
+    if not r2 > 1.0:
+        raise NotInPsi(f"r(v_in) = {r2} must exceed 1")
 
-    b1_max = 1.0 / (4.0 * r_max)
+    def residual(t: float) -> float:
+        b1, betas = _complete_betas(t, r_rest, j_max, r_max)
+        s = float(betas.sum())  # 1 - beta_in - beta_1
+        return (1.0 - s) * (b1 + s) / b1 - r2
 
-    def residual(branch):
-        j_plus = j_max if branch == "plus" else None
-        return lambda b1: _complete_r2(b1, r_rest, j_plus) - r2
-
-    def try_root(b1: float, branch) -> WeightAssignment | None:
-        j_plus = j_max if branch == "plus" else None
-        betas = _betas_from_b1(b1, r_rest, j_plus)
-        b_in = 1.0 - b1 - float(betas.sum())
-        if b1 <= 0 or b_in <= 0 or np.any(betas <= 0):
-            return None
-        beta = np.empty(g.n)
-        beta[out] = b1
-        beta[vin] = b_in
-        beta[rest] = betas
-        w = derived_weights(g, beta / b1)
-        tau = expected_occupation_fixed_point(g, w).values
-        if np.abs(tau - r).max() <= verify_tol:
-            return w
-        return None
-
-    endpoint_notes = []
-    # Primary sweep: bracket against the known limits at b1 -> 0+
-    # (sub branch -> 1 + s_all, plus branch -> r_max - s_others).
-    for branch, lo_sign in (("sub", +1), ("plus", -1)):
-        f = residual(branch)
-        f_hi = f(b1_max)
-        endpoint_notes.append(f"{branch}: f({b1_max:.3e}) = {f_hi:.3e}")
-        if f_hi == 0.0:
-            w = try_root(b1_max, branch)
-            if w is not None:
-                return w
-        if (f_hi > 0) != (lo_sign > 0):
-            lo = b1_max
-            f_lo = None
-            for _ in range(200):
-                lo *= 0.5
-                f_lo = f(lo)
-                if (f_lo > 0) == (lo_sign > 0):
-                    break
-            else:
-                continue
-            root = _bisect(f, lo, b1_max, f_lo, bisect_tol, max_bisect)
-            w = try_root(root, branch)
-            if w is not None:
-                return w
-
-    # Fallback: fine grid scan of both branches for additional brackets.
-    grid = np.linspace(b1_max / 512.0, b1_max, 512)
-    for branch in ("sub", "plus"):
-        f = residual(branch)
-        vals = [f(b) for b in grid]
-        for k in range(len(grid) - 1):
-            if vals[k] == 0.0 or (vals[k] > 0) != (vals[k + 1] > 0):
-                root = _bisect(
-                    f, grid[k], grid[k + 1], vals[k], bisect_tol, max_bisect
-                )
-                w = try_root(root, branch)
-                if w is not None:
-                    return w
-    raise BracketFailure(
-        "no bracketed root reproduced the target; endpoint residuals: "
-        + "; ".join(endpoint_notes)
-    )
-
-
-# -- pendant and twin reductions ----------------------------------------------
-
-
-def extend_pendant(
-    g: GraphInstance, w: WeightAssignment, v: int, alpha: float, r
-) -> tuple[GraphInstance, WeightAssignment]:
-    """Attach a degree-1 vertex v' at v realizing alpha extra visits.
-
-    Given weights on g whose occupation vector equals r - alpha * e_v, the
-    extension rho(v') = rho*(v) * alpha / (r(v) - alpha) realizes r on g
-    and alpha at v'.  The combined vector is verified before returning.
-    """
-    r = _as_target(r, g.n)
-    if not 0 < alpha < r[v]:
-        raise AlphaOutOfRange(f"need 0 < alpha < r({v}) = {r[v]}, got {alpha}")
-    g2 = build_graph(
-        g.n + 1, list(g.edges) + [(v, g.n)], g.v_in, g.v_out
-    )
-    rho2 = np.append(w.rho, w.rho_star[v] * alpha / (r[v] - alpha))
-    w2 = derived_weights(g2, rho2)
-    target = np.append(r, alpha)
-    _verify_forward(g2, w2, target, 1e-9, "pendant extension")
-    return g2, w2
-
-
-@dataclass(frozen=True)
-class TwinSplit:
-    """How to lift a reduced solution back across one twin merge."""
-
-    v: int
-    w: int
-    alpha: float
-    v_new: int
-    old_of_new: tuple[int, ...]
-
-    def lift(self, rho_reduced: np.ndarray) -> np.ndarray:
-        n = len(self.old_of_new) + 1
-        rho = np.empty(n)
-        for new, old in enumerate(self.old_of_new):
-            rho[old] = rho_reduced[new]
-        rho[self.v] = self.alpha * rho_reduced[self.v_new]
-        rho[self.w] = (1.0 - self.alpha) * rho_reduced[self.v_new]
-        return rho
-
-
-def reduce_twins(
-    g: GraphInstance, r, v: int, w_vtx: int
-) -> tuple[GraphInstance, np.ndarray, TwinSplit]:
-    """Merge non-adjacent twins (N(v) = N(w)) into v.
-
-    Returns the reduced instance, the reduced target (with
-    r'(v) = r(v) + r(w)), and the split rule: after solving the reduced
-    instance, rho(v) = alpha * rho'(v) and rho(w) = (1 - alpha) * rho'(v)
-    with alpha = r(v) / (r(v) + r(w)).
-    """
-    r = _as_target(r, g.n)
-    if v == w_vtx:
-        raise NotTwins("a vertex is not its own twin")
-    for u in (v, w_vtx):
-        if u in (g.v_in, g.v_out):
-            raise NotTwins(f"vertex {u} is v_in or v_out")
-    if g.adjacency[v, w_vtx]:
-        raise NotTwins(f"{v} and {w_vtx} are adjacent")
-    if g.neighbors[v] != g.neighbors[w_vtx]:
-        raise NotTwins(f"N({v}) != N({w_vtx})")
-    if not (r[v] > 0 and r[w_vtx] > 0):
-        raise NotInPsi(f"twin targets r({v}), r({w_vtx}) must be positive")
-    alpha = float(r[v] / (r[v] + r[w_vtx]))
-    old_of_new = tuple(u for u in range(g.n) if u != w_vtx)
-    index = {old: new for new, old in enumerate(old_of_new)}
-    edges = [
-        (index[x], index[y]) for x, y in g.edges if x != w_vtx and y != w_vtx
-    ]
-    g_red = build_graph(g.n - 1, edges, index[g.v_in], index[g.v_out])
-    r_red = r[list(old_of_new)].copy()
-    r_red[index[v]] = r[v] + r[w_vtx]
-    split = TwinSplit(
-        v=v, w=w_vtx, alpha=alpha, v_new=index[v], old_of_new=old_of_new
-    )
-    return g_red, r_red, split
+    lo, hi = 0.0, 1.0  # residual > 0 as t -> 0 and < 0 as t -> 1
+    for _ in range(max_bisect):
+        if hi - lo <= bisect_tol:
+            break
+        t = 0.5 * (lo + hi)
+        if residual(t) > 0:
+            lo = t
+        else:
+            hi = t
+    t = 0.5 * (lo + hi)
+    b1, betas = _complete_betas(t, r_rest, j_max, r_max)
+    beta = np.empty(g.n)
+    beta[out] = b1
+    beta[vin] = 1.0 - b1 - float(betas.sum())
+    beta[rest] = betas
+    w = derived_weights(g, beta / b1)
+    _verify_forward(g, w, r, verify_tol, "complete solver")
+    return w
 
 
 # -- reduction driver ----------------------------------------------------------
@@ -556,26 +381,15 @@ def reduce_twins(
 def _verify_forward(
     g: GraphInstance, w: WeightAssignment, target: np.ndarray, tol: float, stage: str
 ) -> None:
+    """Raise VerificationError unless the forward map of w reproduces target
+    within tol relative to max|target|: the solve's rounding scales with the
+    target, which reaches ~1e4 on long-walk targets."""
     tau = expected_occupation_fixed_point(g, w).values
-    gap = float(np.abs(tau - target).max())
+    gap = float(np.abs(tau - target).max() / np.abs(target).max())
     if gap > tol:
         raise VerificationError(
-            f"{stage}: forward map misses target by {gap:.3e} (tol {tol:.0e})"
+            f"{stage}: forward map misses target by {gap:.3e} relative (tol {tol:.0e})"
         )
-
-
-def _residual_depths(adj: dict[int, set[int]], v_out: int) -> dict[int, int]:
-    depth = {v_out: 0}
-    frontier = [v_out]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for z in adj[u]:
-                if z not in depth:
-                    depth[z] = depth[u] + 1
-                    nxt.append(z)
-        frontier = nxt
-    return depth
 
 
 def solve_reducible(
@@ -589,7 +403,7 @@ def solve_reducible(
     Covers all trees (which strip down to a single edge).  Raises NotInPsi
     naming the failing stage, or Irreducible when stuck.
     """
-    r = _as_target(r, g.n)
+    r = _target_array(r, g.n)
     adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
     rr: dict[int, float] = {v: float(r[v]) for v in range(g.n)}
     records: list[tuple] = []
@@ -602,7 +416,7 @@ def solve_reducible(
             u for u in adj if len(adj[u]) == 1 and u not in (g.v_in, g.v_out)
         ]
         if pendants:
-            depth = _residual_depths(adj, g.v_out)
+            depth = _bfs_depths(adj, g.v_out)
             u = max(pendants, key=lambda t: (depth[t], t))
             (v,) = adj[u]
             alpha = rr[u]
@@ -650,10 +464,10 @@ def solve_reducible(
             adj[z].discard(w_vtx)
         del adj[w_vtx]
 
+    # Both reductions only delete vertices, so the residual graph is the
+    # subgraph of g induced on the survivors.
     ids = sorted(adj)
-    index = {old: new for new, old in enumerate(ids)}
-    edges = [(index[a], index[b]) for a in ids for b in adj[a] if a < b]
-    sub = build_graph(len(ids), edges, index[g.v_in], index[g.v_out])
+    sub = _induced_subgraph(g, ids)
     r_sub = np.array([rr[old] for old in ids])
     try:
         if kind == "path":
@@ -663,19 +477,16 @@ def solve_reducible(
     except NotInPsi as exc:
         raise NotInPsi(f"{kind} base case: {exc}") from exc
 
-    rho: dict[int, float] = {old: float(w_sub.rho[index[old]]) for old in ids}
+    # Replaying the records in reverse, the vertices that already have a
+    # weight are exactly the residual graph right after that record.
+    rho: dict[int, float] = {old: float(w_sub.rho[k]) for k, old in enumerate(ids)}
     for rec in reversed(records):
         if rec[0] == "pendant":
             _, u, v, alpha, rv_pre = rec
-            rho_star_v = sum(rho[z] for z in adj[v])
+            rho_star_v = sum(rho[z] for z in g.neighbors[v] if z in rho)
             rho[u] = rho_star_v * alpha / (rv_pre - alpha)
-            adj[u] = {v}
-            adj[v].add(u)
         else:
             _, v, w_vtx, alpha = rec
-            adj[w_vtx] = set(adj[v])
-            for z in adj[v]:
-                adj[z].add(w_vtx)
             rho[w_vtx] = (1.0 - alpha) * rho[v]
             rho[v] = alpha * rho[v]
 

@@ -27,7 +27,6 @@ __all__ = [
     "eigendecompose",
     "greens_functions",
     "spectral_data",
-    "symmetric_pseudoinverse",
     "pseudoinverse_derivative",
     "null_mask",
 ]
@@ -148,22 +147,6 @@ def spectral_data(g: GraphInstance, w: WeightAssignment) -> SpectralData:
     spec = eigendecompose(normL)
     scriptG, bigG = greens_functions(spec, T)
     return replace(spec, scriptG=scriptG, bigG=bigG)
-
-
-def symmetric_pseudoinverse(B: np.ndarray) -> np.ndarray:
-    """Eigendecomposition-based pseudoinverse of a real symmetric matrix.
-
-    Null eigenvalues are identified with the same scale-aware band used for
-    the Laplacian (relative to the largest |eigenvalue|).
-    """
-    B = np.asarray(B, dtype=float)
-    scale = max(1.0, float(np.abs(B).max()))
-    if np.abs(B - B.T).max() > _SYM_TOL * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    lam, phi = scipy.linalg.eigh(B)
-    band = ZERO_BAND * max(1.0, float(np.abs(lam).max()))
-    inv = np.where(np.abs(lam) <= band, 0.0, 1.0 / np.where(np.abs(lam) <= band, 1.0, lam))
-    return (phi * inv[None, :]) @ phi.T
 
 
 def pseudoinverse_derivative(

@@ -150,6 +150,28 @@ def test_reconstruct_disconnected_support(tmp_path, capsys):
     assert "SupportMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.5])
+def test_reconstruct_invalid_target_entry(tmp_path, capsys, bad):
+    inst = tmp_path / "g.json"
+    inst.write_text(json.dumps(
+        {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [1, 3]],
+         "v_in": 3, "v_out": 0}
+    ))
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([1.0, 2.0, bad, 1.5]))
+    assert main(["reconstruct", "--instance", str(inst), "--target", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert "InvalidTarget" in err and "vertex 2" in err
+
+
+def test_target_shape_checked_by_library(p3_file, tmp_path, capsys):
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([1.0, 2.0]))
+    for command in ("reconstruct", "solve", "check"):
+        assert main([command, "--instance", p3_file, "--target", str(target)]) == 1
+        assert "InvalidTarget" in capsys.readouterr().err
+
+
 def test_reconstruct_nonconvergence_exit_code(p3_file, tmp_path):
     target = tmp_path / "t.json"
     target.write_text(json.dumps([1.0, 2.0, 3.0]))  # unreachable on a path

@@ -165,23 +165,21 @@ def test_laplacian_null_spaces_random():
 
 
 def test_metrics_p3():
-    m = ww.graph_metrics(path_instance(3))
-    assert m.distances.tolist() == [0, 1, 2]
-    assert m.bipartite
+    g = path_instance(3)
+    assert g.distances.tolist() == [0, 1, 2]
+    assert g.bipartite
 
 
 def test_metrics_triangle_not_bipartite():
     g = ww.build_graph(3, [(0, 1), (0, 2), (1, 2)], v_in=1, v_out=0)
-    m = ww.graph_metrics(g)
-    assert not m.bipartite
-    assert m.bipartition is None
+    assert not g.bipartite
+    assert g.bipartition is None
 
 
 def test_metrics_four_cycle_alternates():
     g = ww.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], v_in=2, v_out=0)
-    m = ww.graph_metrics(g)
-    assert m.bipartite
-    c = m.bipartition
+    assert g.bipartite
+    c = g.bipartition
     for x, y in g.edges:
         assert c[x] == -c[y]
 

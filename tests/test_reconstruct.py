@@ -17,7 +17,7 @@ from synth import (
     random_tree,
     tau_of,
 )
-from walkweights.errors import NoDescent, SupportMismatch, ZeroVariance
+from walkweights.errors import InvalidTarget, NoDescent, SupportMismatch, ZeroVariance
 
 
 def single_edge():
@@ -301,6 +301,25 @@ def test_restrict_support_disconnected():
     g = path_instance(5)
     with pytest.raises(SupportMismatch):
         ww.restrict_support(g, [1.0, 1.5, 0.0, 1.5, 2.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_reconstruct_rejects_invalid_target_entry(bad):
+    # Such an entry used to drop vertex 2 from the support silently.
+    g = ww.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], v_in=3, v_out=0)
+    tau = tau_of(g, [1.0, 2.0, 0.5, 1.5]).copy()
+    tau[2] = bad
+    with pytest.raises(InvalidTarget, match="vertex 2"):
+        ww.reconstruct_weights(g, tau)
+
+
+def test_target_shape_error_is_invalid_target():
+    g = path_instance(3)
+    for call in (ww.restrict_support, ww.relint_membership, ww.solve_path):
+        with pytest.raises(InvalidTarget, match="shape"):
+            call(g, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        ww.cost(g, ww.derived_weights(g, np.ones(3)), np.ones((3, 1)))
 
 
 # -- descent loop -------------------------------------------------------------------

@@ -3,6 +3,8 @@ solvers, and reductions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkweights as ww
 from synth import (
@@ -14,13 +16,7 @@ from synth import (
     random_tree,
     tau_of,
 )
-from walkweights.errors import (
-    AlphaOutOfRange,
-    CapTooSmall,
-    Irreducible,
-    NotInPsi,
-    NotTwins,
-)
+from walkweights.errors import CapTooSmall, InvalidTarget, Irreducible, NotInPsi
 
 
 def single_edge():
@@ -32,10 +28,10 @@ def single_edge():
 
 def test_trace_vector_examples():
     g = single_edge()
-    assert ww.trace_vector(ww.make_walk_trace(g, [1, 0])).tolist() == [1, 1]
+    assert ww.make_walk_trace(g, [1, 0]).trace.tolist() == [1, 1]
     g = path_instance(3)
     walk = ww.make_walk_trace(g, [2, 1, 2, 1, 0])
-    assert ww.trace_vector(walk).tolist() == [1, 2, 2]
+    assert walk.trace.tolist() == [1, 2, 2]
 
 
 def eta_walk(g, j, k):
@@ -56,7 +52,7 @@ def test_eta_walk_trace_identity(j, k):
     # trace of the k-fold back-step walk is k*(e_j + e_{j+1}) + all-ones
     n = 6
     g = path_instance(n)
-    tr = ww.trace_vector(eta_walk(g, j, k))
+    tr = eta_walk(g, j, k).trace
     want = np.ones(n, dtype=int)
     want[j - 1] += k
     want[j] += k
@@ -189,6 +185,18 @@ def test_relint_rejects_off_manifold_targets():
     assert ww.relint_membership(g, [0.0, 1.0, 1.0]).status == "relative_interior"
 
 
+def test_relint_target_entries():
+    g = ww.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], v_in=3, v_out=0)
+    r = tau_of(g, [1.0, 2.0, 0.5, 1.5]).copy()
+    r[2] = -0.5
+    assert ww.relint_membership(g, r).status == "outside_hull"
+    r[2] = float("nan")
+    with pytest.raises(InvalidTarget, match="vertex 2"):
+        ww.relint_membership(g, r)
+    with pytest.raises(NotInPsi):
+        ww.solve_path(path_instance(3), [1.0, -0.5, 2.0])
+
+
 # -- path solver -----------------------------------------------------------------------
 
 
@@ -284,6 +292,15 @@ def test_solve_complete_large_beta_branch():
     assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
 
 
+def test_solve_complete_beta_near_half():
+    # beta(2) is within 1e-4 of 1/2, where beta(2) is a square-root
+    # function of beta(v_out) with infinite slope.
+    g = complete_instance(5)
+    rho = np.array([0.21287517, 0.24035844, 1.0, 0.30505279, 0.24144182])
+    w = ww.solve_complete(g, tau_of(g, rho))
+    assert np.abs(w.rho - rho / rho[0]).max() <= 1e-9
+
+
 def _complete_target(g, beta):
     r = np.empty(g.n)
     b1, b2 = beta[g.v_out], beta[g.v_in]
@@ -309,37 +326,34 @@ def test_solve_complete_random_simplex_round_trips():
         assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
 
 
-# -- pendant extension ----------------------------------------------------------------------
+# -- reduction driver --------------------------------------------------------------------------
 
 
-def test_extend_pendant_unit_example():
-    g = single_edge()
-    w = ww.derived_weights(g, np.ones(2))
-    r = np.array([1.0, 2.0])  # target after attaching at v_in with alpha = 1
-    g2, w2 = ww.extend_pendant(g, w, v=1, alpha=1.0, r=r)
-    assert g2.n == 3 and (1, 2) in g2.edges
-    assert w2.rho == pytest.approx([1.0, 1.0, 1.0])
-    assert tau_of(g2, w2.rho) == pytest.approx([1.0, 2.0, 1.0], abs=1e-12)
+def pendant_at_v_in():
+    # Single edge out(0) - in(1) plus a pendant 2 at v_in.
+    return ww.build_graph(3, [(0, 1), (1, 2)], v_in=1, v_out=0)
 
 
-def test_extend_pendant_half_example():
-    g = single_edge()
-    w = ww.derived_weights(g, np.ones(2))
-    g2, w2 = ww.extend_pendant(g, w, v=1, alpha=0.5, r=np.array([1.0, 1.5]))
-    assert w2.rho[2] == pytest.approx(0.5)
-    assert tau_of(g2, w2.rho) == pytest.approx([1.0, 1.5, 0.5], abs=1e-12)
+def test_solve_reducible_pendant_unit_example():
+    g = pendant_at_v_in()
+    w = ww.solve_reducible(g, [1.0, 2.0, 1.0])
+    assert w.rho == pytest.approx([1.0, 1.0, 1.0])
+    assert tau_of(g, w.rho) == pytest.approx([1.0, 2.0, 1.0], abs=1e-12)
 
 
-def test_extend_pendant_alpha_range():
-    g = single_edge()
-    w = ww.derived_weights(g, np.ones(2))
-    with pytest.raises(AlphaOutOfRange):
-        ww.extend_pendant(g, w, v=1, alpha=2.0, r=np.array([1.0, 2.0]))
-    with pytest.raises(AlphaOutOfRange):
-        ww.extend_pendant(g, w, v=1, alpha=0.0, r=np.array([1.0, 2.0]))
+def test_solve_reducible_pendant_half_example():
+    g = pendant_at_v_in()
+    w = ww.solve_reducible(g, [1.0, 1.5, 0.5])
+    assert w.rho[2] == pytest.approx(0.5)
+    assert tau_of(g, w.rho) == pytest.approx([1.0, 1.5, 0.5], abs=1e-12)
 
 
-# -- twin reduction --------------------------------------------------------------------------
+def test_solve_reducible_pendant_alpha_range():
+    # The strip needs 0 < r(pendant) < r(neighbour).
+    g = pendant_at_v_in()
+    for r in ([1.0, 2.0, 2.0], [1.0, 2.0, 0.0]):
+        with pytest.raises(NotInPsi, match="pendant strip at 2"):
+            ww.solve_reducible(g, r)
 
 
 def four_cycle():
@@ -347,44 +361,33 @@ def four_cycle():
     return ww.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], v_in=2, v_out=0)
 
 
+def merged_path():
+    # The four-cycle with twins 1 and 3 merged: out(0) - m(1) - in(2).
+    return ww.build_graph(3, [(0, 1), (1, 2)], v_in=2, v_out=0)
+
+
 def test_reduce_twins_four_cycle():
+    # Twins 1 and 3 merge into the path target (1, 2, 2), solved by unit
+    # weights, and split evenly.
     g = four_cycle()
     r = np.array([1.0, 1.0, 2.0, 1.0])
-    g_red, r_red, split = ww.reduce_twins(g, r, v=1, w_vtx=3)
-    assert g_red.n == 3
-    assert r_red.tolist() == [1.0, 2.0, 2.0]
-    assert split.alpha == 0.5
-    w_red = ww.solve_path(g_red, r_red)
-    rho = split.lift(w_red.rho)
+    w_red = ww.solve_path(merged_path(), [1.0, 2.0, 2.0])
+    assert w_red.rho == pytest.approx([1.0, 1.0, 1.0])
+    rho = ww.solve_reducible(g, r).rho
+    assert rho[1] + rho[3] == pytest.approx(w_red.rho[1])
     assert rho == pytest.approx([1.0, 0.5, 1.0, 0.5])
     assert tau_of(g, rho) == pytest.approx(r, abs=1e-12)
 
 
 def test_reduce_twins_uneven_split():
+    # The split follows r(1) : r(3) = 0.25 : 0.75.
     g = four_cycle()
     r = np.array([1.0, 0.5, 2.0, 1.5])
-    g_red, r_red, split = ww.reduce_twins(g, r, v=1, w_vtx=3)
-    assert split.alpha == pytest.approx(0.25)
-    w_red = ww.solve_path(g_red, r_red)
-    rho = split.lift(w_red.rho)
+    w_red = ww.solve_path(merged_path(), [1.0, 2.0, 2.0])
+    rho = ww.solve_reducible(g, r).rho
     assert rho[1] == pytest.approx(0.25 * w_red.rho[1])
     assert rho[3] == pytest.approx(0.75 * w_red.rho[1])
     assert tau_of(g, rho) == pytest.approx(r, abs=1e-12)
-
-
-def test_reduce_twins_rejects_adjacent():
-    g = complete_instance(4)
-    with pytest.raises(NotTwins):
-        ww.reduce_twins(g, np.ones(4), v=2, w_vtx=3)
-
-
-def test_reduce_twins_rejects_terminals():
-    g = four_cycle()
-    with pytest.raises(NotTwins):
-        ww.reduce_twins(g, np.ones(4), v=0, w_vtx=2)
-
-
-# -- reduction driver --------------------------------------------------------------------------
 
 
 def test_solve_reducible_four_cycle_example():
@@ -422,6 +425,59 @@ def test_solve_reducible_star_with_pendants():
     r = tau_of(g, random_rho(g, rng))
     w = ww.solve_reducible(g, r)
     assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
+
+
+@st.composite
+def reducible_cases(draw):
+    """A tree (n = 2..12), K_{2,m} (m = 2..6) or a complete graph with a
+    pendant tail, and hidden weights log-uniform in [0.1, 10]."""
+    family = draw(st.sampled_from(["tree", "k2m", "complete_tail"]))
+    if family == "tree":
+        n = draw(st.integers(2, 12))
+        g = random_tree(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    elif family == "k2m":
+        # Sides {0, 1} and {2..m+1}.  Terminals on opposite sides leave an
+        # irreducible four-cycle, so both sit on one side.
+        m = draw(st.integers(2, 6))
+        edges = [(a, b) for a in (0, 1) for b in range(2, m + 2)]
+        v_out, v_in = draw(st.sampled_from([(0, 1), (2, 3)]))
+        g = ww.build_graph(m + 2, edges, v_in=v_in, v_out=v_out)
+    else:
+        # K_k with a tail of t vertices hung off a vertex other than v_out,
+        # so that the graph minus v_out stays connected.
+        k, t = draw(st.integers(3, 5)), draw(st.integers(1, 4))
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        tail = [draw(st.integers(1, k - 1))] + list(range(k, k + t))
+        edges += list(zip(tail, tail[1:]))
+        g = ww.build_graph(k + t, edges, v_in=1, v_out=0)
+    log_weights = st.lists(st.floats(-1.0, 1.0), min_size=g.n, max_size=g.n)
+    return g, 10.0 ** np.array(draw(log_weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(reducible_cases())
+def test_solve_reducible_recovers_the_walk(case):
+    # Compared through the transition matrix, which bipartite rescalings
+    # of the weights leave unchanged.
+    g, hidden = case
+    r = tau_of(g, hidden)
+    w = ww.solve_reducible(g, r)
+    want = ww.transition_matrix(g, ww.derived_weights(g, hidden))
+    assert np.abs(ww.transition_matrix(g, w) - want).max() <= 1e-8
+    assert ww.relint_membership(g, r).status == "relative_interior"
+
+
+def test_solve_reducible_long_walk_tree():
+    # The target reaches 1.2e4, so the round trip's rounding exceeds any
+    # absolute 1e-9 tolerance.
+    edges = [(0, 5), (0, 7), (1, 2), (1, 3), (1, 8), (4, 5), (5, 10), (6, 7),
+             (6, 8), (6, 9)]
+    g = ww.build_graph(11, edges, v_in=5, v_out=2)
+    hidden = ww.derived_weights(g, [1, 0.1, 1, 1, 1, 1, 10, 10, 0.1, 1, 1])
+    r = tau_of(g, hidden.rho)
+    assert r.max() > 1e4
+    w = ww.solve_reducible(g, r)
+    assert np.abs(ww.transition_matrix(g, w) - ww.transition_matrix(g, hidden)).max() <= 1e-8
 
 
 def test_solve_reducible_petersen_irreducible():
