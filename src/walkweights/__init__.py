@@ -29,7 +29,6 @@ from .occupation import (
     expected_occupation_green,
     make_walk_trace,
     occupation_matrix,
-    simulate_walk,
 )
 from .reconstruct import (
     Backtracking,
@@ -37,9 +36,9 @@ from .reconstruct import (
     GradientReport,
     ReconstructionConfig,
     ReconstructionResult,
+    complex_step_gradient,
     cost,
     expertise_correlation,
-    finite_difference_gradient,
     green_derivative,
     occupation_gradient,
     reconstruct_weights,

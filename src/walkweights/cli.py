@@ -127,9 +127,7 @@ def _cmd_reconstruct(args) -> int:
     g, _ = load_instance(args.instance)
     tau = _load_target(args.target)
     cfg = reconstruct.ReconstructionConfig(
-        max_iters=args.max_iters,
-        cost_tol=args.cost_tol,
-        gradient_mode=args.gradient_mode,
+        max_iters=args.max_iters, cost_tol=args.cost_tol
     )
     status = "no_descent"
     try:
@@ -140,8 +138,7 @@ def _cmd_reconstruct(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
 
     manifest = _manifest(
-        "reconstruct", g, None, max_iters=args.max_iters, cost_tol=args.cost_tol,
-        gradient_mode=args.gradient_mode,
+        "reconstruct", g, None, max_iters=args.max_iters, cost_tol=args.cost_tol
     )
     payload = {
         "manifest": manifest,
@@ -213,12 +210,12 @@ def _cmd_gradcheck(args) -> int:
     tau_hat = expected_occupation_fixed_point(g, derived_weights(g, hidden)).values
 
     w = derived_weights(g, rho)
-    fd = reconstruct.finite_difference_gradient(g, rho, tau_hat)
-    scale = max(1.0, np.abs(fd).max())
+    exact = reconstruct.complex_step_gradient(g, rho, tau_hat)
+    scale = max(1.0, np.abs(exact).max())
     errors = {}
     for mode in ("adjoint", "green"):
         grad = reconstruct.occupation_gradient(g, w, tau_hat, mode=mode).gradient
-        errors[mode] = float(np.abs(grad - fd).max() / scale)
+        errors[mode] = float(np.abs(grad - exact).max() / scale)
     err = max(errors.values())
     passed = err <= GRADCHECK_TOL
     print(
@@ -270,8 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", default=None, help="iteration log CSV path")
     p.add_argument("--max-iters", type=int, default=10_000)
     p.add_argument("--cost-tol", type=float, default=1e-8)
-    p.add_argument("--gradient-mode", choices=reconstruct.GRADIENT_MODES,
-                   default="adjoint")
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("solve", help="exact solve for path/complete/reducible")
@@ -288,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser(
-        "gradcheck", help="adjoint and Green's-chain vs finite-difference gradient"
+        "gradcheck", help="adjoint and Green's-chain vs complex-step gradient"
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -4,7 +4,7 @@ The forward map rho -> tau is computed three independent ways:
 
 * a Green's-function formula built on the spectral machinery,
 * the unique fixed point of the visit-balance matrix M (direct solve),
-* seeded Monte Carlo over simulated proper walks.
+* seeded Monte Carlo over proper walks.
 
 Agreement of the three routes is the module's core correctness argument
 and is exercised heavily by the test suite.
@@ -34,7 +34,6 @@ __all__ = [
     "expected_occupation_fixed_point",
     "expected_occupation_green",
     "expected_hitting_time",
-    "simulate_walk",
     "empirical_occupation",
     "occupation_to_dict",
     "occupation_to_csv",
@@ -91,13 +90,6 @@ class WalkTrace:
         """Number of steps (edges) in the walk."""
         return len(self.vertices) - 1
 
-    def is_proper(self, g: GraphInstance) -> bool:
-        return (
-            self.vertices[0] == g.v_in
-            and self.vertices[-1] == g.v_out
-            and int(self.trace[g.v_out]) == 1
-        )
-
 
 def make_walk_trace(g: GraphInstance, vertices) -> WalkTrace:
     """Build a WalkTrace, validating that consecutive vertices are adjacent."""
@@ -120,32 +112,37 @@ def occupation_matrix(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
     all other entries 0.  Requires the graph minus v_out to stay connected,
     otherwise the fixed point is not unique.
     """
+    return _pinned_system(g, w.rho)[0]
+
+
+def _pinned_system(g: GraphInstance, rho: np.ndarray):
+    """M and the pinned A = M - I with its v_out row replaced by e_out, for
+    a raw weight array of any dtype (complex for the complex-step oracle)."""
     if not g.out_removed_connected:
         raise Disconnected("graph minus v_out is disconnected")
     n, out = g.n, g.v_out
-    neighbor_mass = g.adjacency @ w.rho
-    M = g.adjacency * (w.rho[:, None] / neighbor_mass[None, :])
+    neighbor_mass = g.adjacency @ rho
+    M = g.adjacency * (rho[:, None] / neighbor_mass[None, :])
     M[out, :] = 0.0
     M[:, out] = 0.0
     M[out, out] = 1.0
     M[g.v_in, out] = 1.0
-    return M
+    A = M - np.eye(n)
+    A[out, :] = 0.0
+    A[out, out] = 1.0
+    return M, A
 
 
-def _pinned_fixed_point(g: GraphInstance, w: WeightAssignment):
-    """Solve the pinned system A r = e_out, A = M - I with its v_out row
-    replaced by e_out; return r and the LU factors of A.
+def _pinned_fixed_point(g: GraphInstance, rho: np.ndarray):
+    """Solve the pinned system A r = e_out for a raw weight array of any
+    dtype; return r and the LU factors of A.
 
     The factors are returned so that the adjoint gradient can back-solve
     with A^T at the same point without factoring again.
     """
-    n, out = g.n, g.v_out
-    M = occupation_matrix(g, w)
-    A = M - np.eye(n)
-    A[out, :] = 0.0
-    A[out, out] = 1.0
-    b = np.zeros(n)
-    b[out] = 1.0
+    M, A = _pinned_system(g, rho)
+    b = np.zeros(g.n)
+    b[g.v_out] = 1.0
     try:
         with warnings.catch_warnings():
             # The residual check below is the authority on solution quality.
@@ -165,7 +162,7 @@ def expected_occupation_fixed_point(
     g: GraphInstance, w: WeightAssignment
 ) -> OccupationVector:
     """Solve M r = r with r(v_out) pinned to 1 by direct linear solve."""
-    r, _ = _pinned_fixed_point(g, w)
+    r, _ = _pinned_fixed_point(g, w.rho)
     return OccupationVector(values=_clip_tiny(r), kind="expected")
 
 
@@ -231,31 +228,6 @@ def _cumulative_rows(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
     last = np.array([nbrs[-1] for nbrs in g.neighbors])
     cum[np.arange(g.n)[None, :] >= last[:, None]] = 1.0
     return cum
-
-
-def simulate_walk(
-    g: GraphInstance,
-    w: WeightAssignment,
-    rng: np.random.Generator,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> WalkTrace:
-    """One proper walk from v_in to absorption at v_out.
-
-    The walk consumes one uniform per step from ``rng``; supplying the same
-    generator state reproduces the same trace exactly.
-    """
-    cum = _cumulative_rows(g, w)
-    v = g.v_in
-    seq = [v]
-    for _ in range(step_limit):
-        v = int(np.searchsorted(cum[v], rng.random(), side="right"))
-        seq.append(v)
-        if v == g.v_out:
-            return make_walk_trace(g, seq)
-    raise StepLimitExceeded(
-        f"walk exceeded {step_limit} steps without reaching v_out "
-        "(near-degenerate weights?)"
-    )
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

@@ -2,15 +2,15 @@
 
 The cost is the squared l2 gap between the target tau-hat and the model's
 expected occupation vector.  Its gradient with respect to each free vertex
-weight (v_out stays pinned at 1) comes by default from the adjoint of the
-pinned fixed-point system A r = e_out that the cost already solves: one
-transposed back-solve with A's LU factors and a few adjacency mat-vecs per
-descent point.  The paper's Green's-function chain (weight jacobians, the
+weight (v_out stays pinned at 1) comes from the adjoint of the pinned
+fixed-point system A r = e_out that the cost already solves: one transposed
+back-solve with A's LU factors and a few adjacency mat-vecs per descent
+point.  The paper's Green's-function chain (weight jacobians, the
 normalized-Laplacian derivative, the null-eigenvector derivative, and the
-pseudoinverse derivative formula) stays as ``mode="green"``, the reference
-oracle the adjoint is tested against.  A central-difference oracle with the
-same step + pin conventions is the third mode and the ground truth both
-analytic routes are validated against.
+pseudoinverse derivative formula) stays as ``occupation_gradient``'s
+``mode="green"``, the reference oracle the adjoint is tested against.  Both
+are checked against ``complex_step_gradient``, which differentiates the same
+pinned system at a complex weight and is exact to rounding.
 """
 
 from __future__ import annotations
@@ -48,14 +48,12 @@ __all__ = [
     "weight_jacobians",
     "green_derivative",
     "occupation_gradient",
-    "finite_difference_gradient",
+    "complex_step_gradient",
     "restrict_support",
     "reconstruct_weights",
     "expertise_correlation",
 ]
 
-FD_REL_STEP = 1e-5
-GRADIENT_MODES = ("adjoint", "green", "finite_difference")
 _MIN_ETA = 1e-18
 
 
@@ -77,15 +75,12 @@ class ReconstructionConfig:
     cost_tol: float = 1e-8
     step_rule: FixedStep | Backtracking = Backtracking()
     positivity_floor: float = 1e-8
-    gradient_mode: str = "adjoint"  # or "green", "finite_difference"
 
     def __post_init__(self):
         if self.cost_tol <= 0:
             raise ValueError("cost_tol must be positive")
         if self.positivity_floor <= 0:
             raise ValueError("positivity_floor must be positive")
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -282,34 +277,29 @@ def _adjoint_gradient(
 
 
 def occupation_gradient(
-    g: GraphInstance,
-    w: WeightAssignment,
-    tau_hat,
-    *,
-    mode: str = "adjoint",
-    keep_bundles: bool = True,
+    g: GraphInstance, w: WeightAssignment, tau_hat, *, mode: str = "adjoint"
 ) -> GradientReport:
     """Cost and its gradient over V minus v_out.
 
     ``mode="adjoint"`` back-solves the transposed pinned fixed-point system
     with the LU factors of the forward solve.  ``mode="green"`` walks the
-    paper's Green's-function chain and, with ``keep_bundles``, retains each
-    vertex's derivative bundle; the residual itself still uses the
-    fixed-point occupation vector (the two forward routes agree to well
-    below gradient tolerances).  ``mode="finite_difference"``
-    central-differences the cost instead.
+    paper's Green's-function chain and retains each vertex's derivative
+    bundle; the residual itself still uses the fixed-point occupation
+    vector (the two forward routes agree to well below gradient
+    tolerances).
 
-    The Green's chain is a trustworthy oracle only on moderate weight
-    spreads: its differences of Green's-matrix entries cancel, and at
-    spreads near 1e4 it was off by 1.7e-3 relative from a 40-digit
-    evaluation of the gradient, where the adjoint was off by 3.4e-7.
+    Both routes lose digits to rounding on wide weight spreads: with every
+    weight at 1e-2 or 1e2 (400 random trees and graphs, n = 3..9) the
+    Green's chain was off from ``complex_step_gradient`` by up to 2.0e-7
+    relative and the adjoint by up to 9.0e-8, against medians of 1.3e-13
+    and 4.0e-14.
     """
-    if mode not in GRADIENT_MODES:
+    if mode not in ("adjoint", "green"):
         raise ValueError(f"unknown gradient mode {mode!r}")
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
     free = tuple(v for v in range(g.n) if v != g.v_out)
-    r, lu = _pinned_fixed_point(g, w)
+    r, lu = _pinned_fixed_point(g, w.rho)
     resid = r - tau
     resid[g.v_out] = 0.0
     theta = float(resid @ resid)
@@ -317,43 +307,44 @@ def occupation_gradient(
     bundles = None
     if mode == "adjoint":
         grad = _adjoint_gradient(g, w, r, lu, resid)[list(free)]
-    elif mode == "finite_difference":
-        grad = finite_difference_gradient(g, w.rho, tau)
     else:
         spec = spectral_data(g, w)
-        grad = np.empty(len(free))
-        kept = []
-        for k, x in enumerate(free):
-            bundle = _fill_green_derivative(w, spec, weight_jacobians(g, w, x))
-            grad[k] = 2.0 * float(resid @ _d_tau(g, w, spec, bundle))
-            if keep_bundles:
-                kept.append(bundle)
-        bundles = tuple(kept) if keep_bundles else None
+        bundles = tuple(
+            _fill_green_derivative(w, spec, weight_jacobians(g, w, x)) for x in free
+        )
+        grad = np.array(
+            [2.0 * float(resid @ _d_tau(g, w, spec, b)) for b in bundles]
+        )
     return GradientReport(
         cost=theta, gradient=grad, free_vertices=free, tau=r, bundles=bundles
     )
 
 
-def finite_difference_gradient(
-    g: GraphInstance, rho, tau_hat, rel_step: float = FD_REL_STEP
-) -> np.ndarray:
-    """Central differences of the cost over the free vertices.
+def complex_step_gradient(g: GraphInstance, rho, tau_hat) -> np.ndarray:
+    """Cost gradient over the free vertices by the complex step.
 
-    Step size h = rel_step * max(1, rho(x)) per coordinate.
+    tau is rational in rho, so Im tau(rho + i h e_x) / h equals
+    d tau / d rho(x) up to O(h^2) with no subtractive cancellation; with
+    h = 1e-30 * max(1, rho(x)) that term is far below rounding, so each
+    column is exact to rounding and no step size has to be tuned.  The
+    chain rule through the square, 2 resid . d tau / d rho(x), takes the
+    residual of the real solve that ``cost`` sees: the complex solve's
+    real part rounds differently, and near a zero residual that rounding
+    would dominate the gradient.
     """
     rho = np.asarray(rho, dtype=float)
     tau = _target_array(tau_hat, g.n)
+    _check_full_support(g, tau)
+    r, _ = _pinned_fixed_point(g, rho)
+    resid = r - tau
+    resid[g.v_out] = 0.0
     free = [v for v in range(g.n) if v != g.v_out]
     grad = np.empty(len(free))
     for k, x in enumerate(free):
-        h = rel_step * max(1.0, abs(rho[x]))
-        up = rho.copy()
-        up[x] += h
-        dn = rho.copy()
-        dn[x] -= h
-        c_up = cost(g, derived_weights(g, up), tau)
-        c_dn = cost(g, derived_weights(g, dn), tau)
-        grad[k] = (c_up - c_dn) / (2.0 * h)
+        h = 1e-30 * max(1.0, rho[x])
+        z = rho.astype(complex)
+        z[x] += 1j * h
+        grad[k] = 2.0 * float(resid @ _pinned_fixed_point(g, z)[0].imag) / h
     return grad
 
 
@@ -438,10 +429,7 @@ def reconstruct_weights(
             return float("inf")
 
     for it in range(cfg.max_iters):
-        rep = occupation_gradient(
-            sub, derived_weights(sub, rho), tau,
-            mode=cfg.gradient_mode, keep_bundles=False,
-        )
+        rep = occupation_gradient(sub, derived_weights(sub, rho), tau)
         theta = rep.cost
         if theta <= cfg.cost_tol:
             log.append(IterationRecord(it, theta, 0.0))

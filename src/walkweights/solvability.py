@@ -228,11 +228,12 @@ class PathDecomposition:
     order: tuple[int, ...]
 
 
-def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition:
+def path_decompose(g: GraphInstance, r) -> PathDecomposition:
     """Triangular solve for the backtrack coefficients of a path target.
 
     Raises NotInPsi when some alpha is nonpositive, the final consistency
-    equation fails, or r(v_out) differs from 1.
+    equation fails (relative to r(v_in), whose rounding the alphas carry),
+    or r(v_out) differs from 1.
     """
     order = _path_order(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
     if order is None:
@@ -240,10 +241,10 @@ def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition
     r = _target_array(r, g.n)
     rr = r[list(order)]
     n = g.n
-    if abs(rr[0] - 1.0) > atol:
+    if abs(rr[0] - 1.0) > _HYPERPLANE_ATOL:
         raise NotInPsi(f"r(v_out) = {rr[0]} but must equal 1")
     if n == 2:
-        if abs(rr[1] - 1.0) > atol:
+        if abs(rr[1] - 1.0) > _HYPERPLANE_ATOL:
             raise NotInPsi(
                 f"single edge admits only r = (1, 1); got r(v_in) = {rr[1]}"
             )
@@ -255,7 +256,7 @@ def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition
     for k, a in enumerate(alphas):
         if not a > 0:
             raise NotInPsi(f"alpha_{k + 2} = {a} is not positive")
-    if abs(rr[n - 1] - 1.0 - alphas[n - 3]) > atol:
+    if abs(rr[n - 1] - 1.0 - alphas[n - 3]) > _HYPERPLANE_ATOL * abs(rr[n - 1]):
         raise NotInPsi(
             f"consistency failed: r(v_in) = {rr[n - 1]} but "
             f"1 + alpha_{n - 1} = {1.0 + alphas[n - 3]}"
@@ -263,14 +264,14 @@ def path_decompose(g: GraphInstance, r, atol: float = 1e-9) -> PathDecomposition
     return PathDecomposition(alphas=alphas, order=tuple(order))
 
 
-def solve_path(g: GraphInstance, r, atol: float = 1e-9) -> WeightAssignment:
+def solve_path(g: GraphInstance, r) -> WeightAssignment:
     """Exact weights for a path target via the closed-form product formula.
 
     rho(v_1) = rho(v_2) = 1 and rho(v_j) = rho(v_{j-2})
     * alpha_{j-1} / (1 + alpha_{j-2}), reading alpha_1 = 0.  The result is
     verified against the fixed-point forward map before returning.
     """
-    dec = path_decompose(g, r, atol=atol)
+    dec = path_decompose(g, r)
     n = g.n
     rho_pos = np.ones(n)
     alpha = {j: float(dec.alphas[j - 2]) for j in range(2, n)}

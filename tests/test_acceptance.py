@@ -86,16 +86,24 @@ def test_criterion_3_gradcheck_suite(tmp_path):
         "c5": cycle_instance(5),  # non-bipartite, non-complete
     }
     failures = []
+    worst = {"adjoint": 0.0, "green": 0.0}
+    out = tmp_path / "gradcheck.json"
     for name, g in cases.items():
         inst = tmp_path / f"{name}.json"
         ww.save_instance(inst, g)
         for seed in range(1, 11):
-            code = main(["gradcheck", "--instance", str(inst), "--seed", str(seed)])
+            code = main(["gradcheck", "--instance", str(inst), "--seed", str(seed),
+                         "--out", str(out)])
             if code != 0:
                 failures.append((name, seed))
+            data = json.loads(out.read_text())
+            for route in worst:
+                worst[route] = max(worst[route], data[f"{route}_rel_error"])
     ok = not failures
     report(3, ok, f"cmd_gradcheck over {len(cases)} graphs x 10 seeds "
-                  f"(tol 1e-5); failures: {failures or 'none'}")
+                  f"(tol 1e-5) vs the complex step; worst adjoint "
+                  f"{worst['adjoint']:.1e}, green {worst['green']:.1e}; "
+                  f"failures: {failures or 'none'}")
 
 
 def test_criterion_4_path_round_trip():

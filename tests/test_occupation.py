@@ -1,4 +1,4 @@
-"""Forward maps: fixed point, Green's formula, hitting times, simulation."""
+"""Forward maps: fixed point, Green's formula, hitting times, Monte Carlo."""
 
 import numpy as np
 import pytest
@@ -164,53 +164,7 @@ def test_hitting_time_first_step_oracle():
             assert got >= 0.0
 
 
-# -- simulation -----------------------------------------------------------------
-
-
-def test_simulate_single_edge():
-    g = single_edge()
-    w = ww.derived_weights(g, np.ones(2))
-    walk = ww.simulate_walk(g, w, np.random.default_rng(0))
-    assert walk.vertices == (1, 0)
-    assert walk.trace.tolist() == [1, 1]
-
-
-def test_simulate_deterministic_given_seed():
-    g = path_instance(4)
-    w = ww.derived_weights(g, np.array([1.0, 0.5, 2.0, 1.0]))
-    a = ww.simulate_walk(g, w, np.random.default_rng(123))
-    b = ww.simulate_walk(g, w, np.random.default_rng(123))
-    assert a.vertices == b.vertices
-
-
-def test_simulated_walks_are_proper():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        g = random_connected_instance(int(rng.integers(3, 8)), rng)
-        w = ww.derived_weights(g, random_rho(g, rng))
-        for _ in range(50):
-            walk = ww.simulate_walk(g, w, rng)
-            assert walk.is_proper(g)
-            assert walk.trace.sum() == len(walk.vertices)
-
-
-def test_p3_shortest_walk_has_probability_half():
-    g = path_instance(3)
-    w = ww.derived_weights(g, np.ones(3))
-    n_walks = 4000
-    hits = sum(
-        ww.simulate_walk(g, w, np.random.default_rng((42, k))).vertices == (2, 1, 0)
-        for k in range(n_walks)
-    )
-    freq = hits / n_walks
-    assert abs(freq - 0.5) <= 4.0 * np.sqrt(0.25 / n_walks)
-
-
-def test_step_limit_exceeded():
-    g = path_instance(3)
-    w = ww.derived_weights(g, np.ones(3))
-    with pytest.raises(StepLimitExceeded):
-        ww.simulate_walk(g, w, np.random.default_rng(0), step_limit=1)
+# -- walk traces ----------------------------------------------------------------
 
 
 def test_walk_trace_validation():
@@ -296,6 +250,38 @@ def test_empirical_matches_expected_at_scale():
     vec = ww.empirical_occupation(g, w, 100_000, seed=21)
     dev = np.abs(vec.values - expected)
     assert np.all(dev <= 4.0 * np.maximum(vec.stderr, 1e-15))
+
+
+def test_simulated_walks_are_proper():
+    # Every walk starts at v_in and ends on its one and only visit to v_out:
+    # each walk's trace has a 1 at v_out, so both its sum and its sum of
+    # squares over a chunk equal the chunk's walk count.
+    rng = np.random.default_rng(11)
+    for k in range(5):
+        g = random_connected_instance(int(rng.integers(3, 8)), rng)
+        cum = _cumulative_rows(g, ww.derived_weights(g, random_rho(g, rng)))
+        s, q = _simulate_chunk((cum, g.v_in, g.v_out, 11, k, 50, 10**6))
+        assert s[g.v_out] == 50 and q[g.v_out] == 50
+        assert s[g.v_in] >= 50
+
+
+def test_p3_middle_visits_are_geometric():
+    # On the uniform P3 each visit to the middle vertex ends the walk with
+    # probability 1/2, so its visit count is Geometric(1/2): mean 2 and
+    # variance 2, i.e. N * stderr**2 ~ 2 beyond the mean the other tests see.
+    g = path_instance(3)
+    N = 40_000
+    vec = ww.empirical_occupation(g, ww.derived_weights(g, np.ones(3)), N, seed=42)
+    var = N * vec.stderr[1] ** 2
+    # The sample variance has variance (mu4 - sigma^4) / N = (38 - 4) / N.
+    assert abs(var - 2.0) <= 4.0 * np.sqrt(34.0 / N)
+
+
+def test_step_limit_exceeded():
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    with pytest.raises(StepLimitExceeded):
+        ww.empirical_occupation(g, w, 64, seed=0, step_limit=1)
 
 
 def test_cumulative_rows_end_at_last_neighbour():

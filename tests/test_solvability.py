@@ -255,6 +255,17 @@ def test_solve_path_random_cones():
         assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-9
 
 
+@pytest.mark.parametrize("n,base", [(5, 100.0), (12, 3.0)])
+def test_solve_path_long_walk_targets(n, base):
+    # r reaches 1e12 and 4.4e9: the consistency equation carries rounding
+    # of order r(v_in) * 1e-16, so an absolute 1e-9 would reject them.
+    g = path_instance(n)
+    rho = base ** np.arange(n)
+    w = ww.solve_path(g, tau_of(g, rho))
+    P_true = ww.transition_matrix(g, ww.derived_weights(g, rho))
+    assert np.abs(ww.transition_matrix(g, w) - P_true).max() <= 1e-7
+
+
 # -- complete-graph solver ----------------------------------------------------------------
 
 
