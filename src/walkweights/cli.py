@@ -1,7 +1,8 @@
 """Command-line front end: expect, reconstruct, solve, check, gradcheck.
 
-Every artifact embeds a manifest (command, seed, instance hash) and is
-written atomically (temp file + rename), so interrupted runs never leave
+Every artifact embeds a manifest (command, seed, instance hash, and the
+walkweights, numpy and scipy versions that produced it) and is written
+atomically (temp file + rename), so interrupted runs never leave
 partial files and identical manifests always reproduce identical bytes.
 
 Exit codes: 0 success, 1 input error, 2 non-convergence,
@@ -20,8 +21,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import occupation, reconstruct, solvability
+from . import __version__, occupation, reconstruct, solvability
 from .errors import Irreducible, NoDescent, NotInPsi, WalkWeightsError
 from .graph_core import instance_to_dict, load_instance
 
@@ -55,7 +57,15 @@ def _instance_hash(g, w) -> str:
 
 
 def _manifest(command: str, g, w, **fields) -> dict:
-    m = {"command": command, "instance_sha256": _instance_hash(g, w)}
+    m = {
+        "command": command,
+        "instance_sha256": _instance_hash(g, w),
+        "versions": {
+            "walkweights": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
     m.update({k: v for k, v in fields.items() if v is not None})
     return m
 
@@ -104,15 +114,20 @@ def _cmd_expect(args) -> int:
         if args.seed is None:
             raise ValueError("--seed is required for method=montecarlo")
         vec = occupation.empirical_occupation(
-            g, w, args.N, args.seed, workers=args.workers
+            g, w, args.N, args.seed, workers=args.workers,
+            chunk_size=occupation.DEFAULT_CHUNK,
         )
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")
 
+    # The Monte Carlo bytes depend on the chunk width and on numpy's
+    # PCG64 stream, so the manifest names both.
+    mc = args.method == "montecarlo"
     manifest = _manifest(
         "expect", g, w, method=args.method,
-        seed=args.seed if args.method == "montecarlo" else None,
-        N=args.N if args.method == "montecarlo" else None,
+        seed=args.seed if mc else None,
+        N=args.N if mc else None,
+        chunk_size=occupation.DEFAULT_CHUNK if mc else None,
     )
     if args.out is not None and args.out.endswith(".csv"):
         _emit_csv(occupation.occupation_to_csv(vec), manifest, args.out)

@@ -6,6 +6,12 @@ The forward map rho -> tau is computed three independent ways:
 * the unique fixed point of the visit-balance matrix M (direct solve),
 * seeded Monte Carlo over proper walks.
 
+The sampler moves a walk by looking its uniform up in the current vertex's
+row of a neighbour table: O(log max degree) work per step, independent of
+n.  The table holds the same cumulative floats as a dense row of the
+transition matrix, so each uniform selects the same vertex as a search over
+the dense row would.
+
 Agreement of the three routes is the module's core correctness argument
 and is exercised heavily by the test suite.
 
@@ -44,7 +50,9 @@ DEFAULT_STEP_LIMIT = 10_000_000
 # Walk indices are grouped into fixed-size chunks; each chunk draws its
 # uniforms from an independent substream keyed by (seed, chunk index), with
 # one full-width block per step, so walk k always consumes the same numbers
-# no matter how chunks are scheduled across workers.
+# no matter how chunks are scheduled across workers.  The width is part of
+# the stream: another chunk size gives other (equally valid) walks.  A step
+# costs O(count) for the draw plus O(log max degree) per active walk.
 DEFAULT_CHUNK = 16384
 
 
@@ -219,15 +227,28 @@ def expected_hitting_time(
 # -- simulation ------------------------------------------------------------
 
 
-def _cumulative_rows(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
-    """Row-wise cumulative transition probabilities, exactly 1.0 from each
-    row's last neighbour onward, so that no uniform in [0, 1) can land on a
-    non-neighbour when the row sum rounds below 1."""
+def _neighbour_tables(g: GraphInstance, w: WeightAssignment):
+    """Per-vertex sampling tables ``(cum, nbr)``, both of shape (n, width).
+
+    Row v lists v's sorted neighbours in ``nbr[v]`` and their cumulative
+    transition probabilities in ``cum[v]``.  The width is the smallest power
+    of two that holds the largest degree.  The last real entry of each row
+    is exactly 1.0, so that no uniform in [0, 1) can fall past the last
+    neighbour when the row sum rounds below 1.  Padding entries are 1.0 as
+    well and repeat the last neighbour, so they are never selected.
+
+    The cumulative sums run over the neighbours only.  A dense row's
+    non-neighbour entries add exactly 0.0, so each neighbour's entry is the
+    same float as in the dense row ``cumsum(P[v])``, and every uniform maps
+    to the same vertex.
+    """
     P = transition_matrix(g, w)
-    cum = np.cumsum(P, axis=1)
-    last = np.array([nbrs[-1] for nbrs in g.neighbors])
-    cum[np.arange(g.n)[None, :] >= last[:, None]] = 1.0
-    return cum
+    deg = np.array([len(nbrs) for nbrs in g.neighbors])
+    width = 1 << int(deg.max() - 1).bit_length()
+    nbr = np.array([nbrs + nbrs[-1:] * (width - len(nbrs)) for nbrs in g.neighbors])
+    cum = np.cumsum(np.take_along_axis(P, nbr, axis=1), axis=1)
+    cum[np.arange(width)[None, :] >= (deg - 1)[:, None]] = 1.0
+    return cum, nbr
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -237,30 +258,45 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep-simulate one chunk of walks; returns (sum_tr, sum_sq) int64."""
-    cum, v_in, v_out, seed, chunk_index, count, step_limit = args
-    n = cum.shape[0]
+    """Lockstep-simulate one chunk of walks; returns (sum_tr, sum_sq) int64.
+
+    A walk at ``pos`` steps to ``nbr[pos, k]`` with k = #{j : u >= cum[pos, j]}.
+    The entries a uniform u in [0, 1) reaches form a prefix of the row, so
+    k is found by a branchless binary search: for s = width/2, ..., 1 the
+    flat offset ``at`` moves up by s when u >= cum_flat[at + s - 1].  A
+    step costs O(log width) array operations, whatever n is.  Positions
+    are kept for the active walks only.
+    """
+    (cum, nbr), v_in, v_out, seed, chunk_index, count, step_limit = args
+    n, width = cum.shape
+    cum_flat, nbr_flat = cum.ravel(), nbr.ravel()
+    halves = [width >> k for k in range(1, width.bit_length())]
+    # probe[at] reads cum_flat[at + s - 1] without an index addition.
+    probes = [(s, cum_flat[s - 1:]) for s in halves]
     gen = _chunk_rng(seed, chunk_index)
     tr = np.zeros((count, n), dtype=np.int64)
     tr[:, v_in] = 1
+    tr_flat = tr.reshape(-1)
     pos = np.full(count, v_in, dtype=np.int64)
     active = np.arange(count)
     for _ in range(step_limit):
         if active.size == 0:
             break
-        u = gen.random(count)  # full width keeps per-walk substreams fixed
-        rows = cum[pos[active]]
-        nxt = (u[active, None] >= rows).sum(axis=1)
-        tr[active, nxt] += 1
-        pos[active] = nxt
-        active = active[nxt != v_out]
+        u = gen.random(count)[active]  # full width keeps per-walk substreams fixed
+        at = pos * width
+        for s, probe in probes:
+            at += (u >= probe[at]) * s
+        pos = nbr_flat[at]
+        tr_flat[active * n + pos] += 1
+        going = pos != v_out
+        active, pos = active[going], pos[going]
     else:
         if active.size:
             raise StepLimitExceeded(
                 f"{active.size} walks in chunk {chunk_index} exceeded "
                 f"{step_limit} steps"
             )
-    return tr.sum(axis=0), (tr * tr).sum(axis=0)
+    return tr.sum(axis=0), np.einsum("ij,ij->j", tr, tr)
 
 
 def empirical_occupation(
@@ -286,13 +322,13 @@ def empirical_occupation(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if not g.out_removed_connected:
         raise Disconnected("graph minus v_out is disconnected")
-    cum = _cumulative_rows(g, w)
+    tables = _neighbour_tables(g, w)
     tasks = []
     start = 0
     chunk_index = 0
     while start < N:
         count = min(chunk_size, N - start)
-        tasks.append((cum, g.v_in, g.v_out, seed, chunk_index, count, step_limit))
+        tasks.append((tables, g.v_in, g.v_out, seed, chunk_index, count, step_limit))
         start += count
         chunk_index += 1
 

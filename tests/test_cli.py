@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 import walkweights as ww
 from walkweights.cli import main
+from walkweights.occupation import DEFAULT_CHUNK
 
 
 @pytest.fixture
@@ -43,6 +45,14 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_versions(manifest):
+    assert manifest["versions"] == {
+        "walkweights": ww.__version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 # -- expect ---------------------------------------------------------------------
 
 
@@ -54,6 +64,8 @@ def test_expect_fixedpoint(p3_file, tmp_path):
     assert data["tau"] == [1.0, 2.0, 2.0]
     assert data["manifest"]["command"] == "expect"
     assert "instance_sha256" in data["manifest"]
+    assert_versions(data["manifest"])
+    assert "chunk_size" not in data["manifest"]
 
 
 def test_expect_green_single_edge(tmp_path):
@@ -82,6 +94,8 @@ def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     assert outs[0] == outs[1]
     payload = json.loads(outs[0])
     assert payload["manifest"]["seed"] == 9
+    assert payload["manifest"]["chunk_size"] == DEFAULT_CHUNK
+    assert_versions(payload["manifest"])
     assert len(payload["stderr"]) == 3
     dev = np.abs(np.array(payload["tau"]) - np.array([1.0, 2.0, 2.0]))
     assert np.all(dev <= 4 * np.maximum(np.array(payload["stderr"]), 1e-12))
@@ -92,6 +106,7 @@ def test_expect_csv_output(p3_file, tmp_path):
     assert main(["expect", "--instance", p3_file, "--out", out]) == 0
     lines = open(out).read().splitlines()
     assert lines[0].startswith("# manifest: ")
+    assert_versions(json.loads(lines[0][len("# manifest: "):]))
     assert lines[1] == "vertex,tau"
     assert lines[2] == "0,1.0"
 
@@ -121,7 +136,9 @@ def test_reconstruct_p3(p3_file, tmp_path):
     data = read_json(out)
     assert data["status"] == "converged"
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0], abs=1e-6)
+    assert_versions(data["manifest"])
     lines = open(iters).read().splitlines()
+    assert_versions(json.loads(lines[0][len("# manifest: "):]))
     assert lines[1] == "iter,cost,step"
 
 
@@ -206,6 +223,7 @@ def test_solve_path_cli(p4_file, tmp_path):
                  "--out", out]) == 0
     data = read_json(out)
     assert data["family"] == "path"
+    assert_versions(data["manifest"])
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0, 0.5], abs=1e-9)
 
 
@@ -246,6 +264,7 @@ def test_check_p3(p3_file, tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["check", "--instance", p3_file, "--out", out]) == 0
     data = read_json(out)
+    assert_versions(data["manifest"])
     assert data["hull_dim"] == 1
     assert data["bipartite"] is True
     assert data["relint"] is None
@@ -299,6 +318,7 @@ def test_gradcheck_k3_with_report(k3_file, tmp_path):
     assert main(["gradcheck", "--instance", k3_file, "--seed", "1",
                  "--out", out]) == 0
     data = read_json(out)
+    assert_versions(data["manifest"])
     assert data["passed"] is True and data["max_rel_error"] <= 1e-5
 
 

@@ -1,7 +1,11 @@
 """Forward maps: fixed point, Green's formula, hitting times, Monte Carlo."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import walkweights as ww
 from synth import (
@@ -10,9 +14,11 @@ from synth import (
     path_instance,
     random_connected_instance,
     random_rho,
+    random_tree,
 )
 from walkweights.errors import Disconnected, StepLimitExceeded
-from walkweights.occupation import _chunk_rng, _cumulative_rows, _simulate_chunk
+from walkweights.graph_core import transition_matrix
+from walkweights.occupation import _chunk_rng, _neighbour_tables, _simulate_chunk
 
 
 def single_edge():
@@ -197,14 +203,25 @@ def test_empirical_within_standard_errors(maker, expected):
     assert np.all(dev <= 4.0 * np.maximum(vec.stderr, 1e-15))
 
 
+def dense_cumulative_rows(g, w):
+    """Row-wise cumsum of the transition matrix, exactly 1.0 from each row's
+    last neighbour onward: the dense (n, n) form of the sampler's table."""
+    cum = np.cumsum(transition_matrix(g, w), axis=1)
+    last = np.array([nbrs[-1] for nbrs in g.neighbors])
+    cum[np.arange(g.n)[None, :] >= last[:, None]] = 1.0
+    return cum
+
+
 def test_chunked_engine_matches_scalar_reference():
-    # Replay the identical substreams with a straightforward scalar loop.
+    # Replay the identical substreams with a straightforward scalar loop
+    # that searches dense cumulative rows, built here independently of the
+    # sampler's neighbour table.
     g = random_connected_instance(5, np.random.default_rng(12))
     w = ww.derived_weights(g, random_rho(g, np.random.default_rng(13)))
     seed, N, width = 17, 10, 4
     vec = ww.empirical_occupation(g, w, N, seed, chunk_size=width)
 
-    cum = _cumulative_rows(g, w)
+    cum = dense_cumulative_rows(g, w)
     total = np.zeros(g.n, dtype=np.int64)
     start = 0
     chunk = 0
@@ -259,8 +276,8 @@ def test_simulated_walks_are_proper():
     rng = np.random.default_rng(11)
     for k in range(5):
         g = random_connected_instance(int(rng.integers(3, 8)), rng)
-        cum = _cumulative_rows(g, ww.derived_weights(g, random_rho(g, rng)))
-        s, q = _simulate_chunk((cum, g.v_in, g.v_out, 11, k, 50, 10**6))
+        tables = _neighbour_tables(g, ww.derived_weights(g, random_rho(g, rng)))
+        s, q = _simulate_chunk((tables, g.v_in, g.v_out, 11, k, 50, 10**6))
         assert s[g.v_out] == 50 and q[g.v_out] == 50
         assert s[g.v_in] >= 50
 
@@ -284,23 +301,122 @@ def test_step_limit_exceeded():
         ww.empirical_occupation(g, w, 64, seed=0, step_limit=1)
 
 
-def test_cumulative_rows_end_at_last_neighbour():
-    # A row whose cumulative sum rounds below 1 must not let a uniform in
-    # that gap step past the last neighbour to a non-adjacent vertex.
+def star_instance(n: int) -> ww.GraphInstance:
+    """Star with centre 0 and leaves 1..n-1; max degree n - 1."""
+    return ww.build_graph(n, [(0, v) for v in range(1, n)], v_in=0, v_out=1)
+
+
+def test_neighbour_tables_select_only_neighbours():
+    # Whatever the weights, a uniform in [0, 1) can only select a true
+    # neighbour: each row's last real entry is exactly 1.0, even where the
+    # row's probabilities sum to less than 1 in floating point, and the
+    # padding behind it is 1.0, so it can never be selected.  The other
+    # entries are the dense cumulative row's floats, bit for bit.
     rng = np.random.default_rng(15)
-    for _ in range(50):
-        g = random_connected_instance(6, rng)
-        cum = _cumulative_rows(g, ww.derived_weights(g, random_rho(g, rng)))
-        for v, nbrs in enumerate(g.neighbors):
-            assert np.all(cum[v, nbrs[-1]:] == 1.0), (v, cum[v])
+    graphs = [star_instance(n) for n in (2, 3, 5, 9, 17, 33)]
+    graphs += [random_connected_instance(int(rng.integers(2, 10)), rng) for _ in range(40)]
+    short_rows = 0
+    for g in graphs:
+        for _ in range(5):
+            w = ww.derived_weights(g, 10.0 ** rng.uniform(-2.0, 2.0, g.n))
+            cum, nbr = _neighbour_tables(g, w)
+            deg = [len(nbrs) for nbrs in g.neighbors]
+            assert cum.shape == nbr.shape
+            assert max(deg) <= cum.shape[1] < 2 * max(deg)
+            P = transition_matrix(g, w)
+            dense = dense_cumulative_rows(g, w)
+            for v, nbrs in enumerate(g.neighbors):
+                d = len(nbrs)
+                assert tuple(nbr[v, :d]) == nbrs
+                assert np.array_equal(cum[v, :d - 1], dense[v, list(nbrs[:-1])])
+                assert np.all(cum[v, d - 1:] == 1.0), (v, cum[v])
+                short_rows += np.cumsum(P[v, list(nbrs)])[-1] < 1.0
+                # Entry j is selected by the uniforms in [cum[j-1], cum[j]).
+                low = np.concatenate([[0.0], cum[v, :-1]])
+                selectable = (cum[v] > low) & (low < 1.0)
+                assert set(nbr[v, selectable]) <= set(nbrs), (v, cum[v], nbr[v])
+                assert not selectable[d:].any()
+    assert short_rows > 0  # some rows really do sum to less than 1
 
 
 def test_chunk_engine_step_limit():
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
-    cum = _cumulative_rows(g, w)
     with pytest.raises(StepLimitExceeded):
-        _simulate_chunk((cum, g.v_in, g.v_out, 0, 0, 64, 1))
+        _simulate_chunk((_neighbour_tables(g, w), g.v_in, g.v_out, 0, 0, 64, 1))
+
+
+def dense_lockstep_chunk(cum, v_in, v_out, seed, chunk_index, count):
+    """Lockstep loop over dense (n, n) cumulative rows, O(n) work per walk
+    and step: the reference the chunk engine must match bit for bit."""
+    n = cum.shape[0]
+    gen = _chunk_rng(seed, chunk_index)
+    tr = np.zeros((count, n), dtype=np.int64)
+    tr[:, v_in] = 1
+    pos = np.full(count, v_in, dtype=np.int64)
+    active = np.arange(count)
+    while active.size:
+        u = gen.random(count)
+        rows = cum[pos[active]]
+        nxt = (u[active, None] >= rows).sum(axis=1)
+        tr[active, nxt] += 1
+        pos[active] = nxt
+        active = active[nxt != v_out]
+    return tr.sum(axis=0), (tr * tr).sum(axis=0)
+
+
+@st.composite
+def chunk_cases(draw):
+    """A random tree, connected graph or star with n = 2..9 and weights
+    spread over up to four decades, plus a chunk's seed, index and width."""
+    n = draw(st.integers(2, 9))
+    maker = draw(st.sampled_from([
+        random_tree,
+        random_connected_instance,
+        lambda n, rng: star_instance(n),
+    ]))
+    g = maker(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    log_rho = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    w = ww.derived_weights(g, 10.0 ** np.array(log_rho))
+    # Some such weights trap walks for millions of steps; the dense loop
+    # replays every step in Python, so keep the expected walk short.
+    assume(ww.expected_occupation_fixed_point(g, w).values.sum() <= 2000)
+    seed = draw(st.integers(0, 2**32 - 1))
+    chunk_index = draw(st.integers(0, 1000))
+    count = draw(st.sampled_from([1, 7, 64]))
+    return g, w, seed, chunk_index, count
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk_cases())
+def test_chunk_engine_matches_dense_lockstep_loop(case):
+    g, w, seed, chunk_index, count = case
+    want = dense_lockstep_chunk(
+        dense_cumulative_rows(g, w), g.v_in, g.v_out, seed, chunk_index, count
+    )
+    # The chunk's total visit count bounds its longest walk, so a sampler
+    # that strays from the dense walks stops here instead of running on.
+    step_limit = int(want[0].sum())
+    got = _simulate_chunk(
+        (_neighbour_tables(g, w), g.v_in, g.v_out, seed, chunk_index, count, step_limit)
+    )
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# sha256 of values.tobytes() + stderr.tobytes() for the run below, computed
+# with the dense-row sampler that preceded the neighbour tables.
+GRID4X4_DIGEST = "9e080f7e94087841946ff971c3f7e45060e3623f49aeae52813b5570829adb6e"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empirical_occupation_golden_digest(workers):
+    edges = [(v, v + 1) for v in range(16) if v % 4 < 3]
+    edges += [(v, v + 4) for v in range(12)]
+    g = ww.build_graph(16, edges, v_in=15, v_out=0)
+    w = ww.derived_weights(g, np.array([1.0 + 0.25 * (v % 5) for v in range(16)]))
+    vec = ww.empirical_occupation(g, w, 1000, seed=2024, chunk_size=96, workers=workers)
+    digest = hashlib.sha256(vec.values.tobytes() + vec.stderr.tobytes()).hexdigest()
+    assert digest == GRID4X4_DIGEST
 
 
 # -- serialization ----------------------------------------------------------------
