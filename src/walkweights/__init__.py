@@ -3,8 +3,9 @@
 The library computes expected visit counts three independent ways
 (Green's-function formula, fixed-point solve, seeded Monte Carlo),
 reconstructs vertex weights from target occupation times by
-adjoint-gradient steepest descent, and decides/constructs exact solutions
-on paths, complete graphs, and pendant/twin-reducible graphs.
+Levenberg-Marquardt on the log weights (or the paper's steepest descent),
+and decides/constructs exact solutions on paths, complete graphs, and
+pendant/twin-reducible graphs.
 """
 
 from . import errors
@@ -34,6 +35,7 @@ from .reconstruct import (
     Backtracking,
     FixedStep,
     GradientReport,
+    LevenbergMarquardt,
     ReconstructionConfig,
     ReconstructionResult,
     complex_step_gradient,

@@ -142,7 +142,8 @@ def _cmd_reconstruct(args) -> int:
     g, _ = load_instance(args.instance)
     tau = _load_target(args.target)
     cfg = reconstruct.ReconstructionConfig(
-        max_iters=args.max_iters, cost_tol=args.cost_tol
+        max_iters=args.max_iters, cost_tol=args.cost_tol,
+        step_rule=reconstruct.LevenbergMarquardt(),
     )
     status = "no_descent"
     try:
@@ -153,7 +154,8 @@ def _cmd_reconstruct(args) -> int:
         print(f"warning: {exc}", file=sys.stderr)
 
     manifest = _manifest(
-        "reconstruct", g, None, max_iters=args.max_iters, cost_tol=args.cost_tol
+        "reconstruct", g, None, max_iters=args.max_iters, cost_tol=args.cost_tol,
+        step_rule="levenberg_marquardt",
     )
     payload = {
         "manifest": manifest,

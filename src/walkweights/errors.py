@@ -74,7 +74,8 @@ class SupportMismatch(WalkWeightsError):
 
 
 class NoDescent(WalkWeightsError):
-    """Backtracking line search underflowed without finding a decrease.
+    """The step rule found no decrease: the backtracking line search
+    underflowed, or the Levenberg-Marquardt damping passed its cap.
 
     Carries the partial result in ``result`` when raised by the solver.
     """

@@ -1,11 +1,18 @@
 """Weight reconstruction from target occupation times.
 
 The cost is the squared l2 gap between the target tau-hat and the model's
-expected occupation vector.  Its gradient with respect to each free vertex
-weight (v_out stays pinned at 1) comes from the adjoint of the pinned
-fixed-point system A r = e_out that the cost already solves: one transposed
-back-solve with A's LU factors and a few adjacency mat-vecs per descent
-point.  The paper's Green's-function chain (weight jacobians, the
+expected occupation vector, with rho(v_out) pinned at 1.  Both derivatives
+of it come from the pinned fixed-point system A r = e_out that the cost
+already solves, reusing A's LU factors:
+
+* the full Jacobian dr/drho = -A^{-1} D, one multi-right-hand-side
+  back-solve (``_pinned_jacobian``).  It drives the default step rule,
+  ``LevenbergMarquardt``: damped Gauss-Newton steps on the log weights;
+* the cost gradient by the adjoint, one transposed back-solve and a few
+  adjacency mat-vecs (``occupation_gradient``).  It drives the paper's
+  projected steepest descent, the ``FixedStep`` and ``Backtracking`` rules.
+
+The paper's Green's-function chain (weight jacobians, the
 normalized-Laplacian derivative, the null-eigenvector derivative, and the
 pseudoinverse derivative formula) stays as ``occupation_gradient``'s
 ``mode="green"``, the reference oracle the adjoint is tested against.  Both
@@ -39,6 +46,7 @@ from .spectral_green import SpectralData, pseudoinverse_derivative, spectral_dat
 __all__ = [
     "FixedStep",
     "Backtracking",
+    "LevenbergMarquardt",
     "ReconstructionConfig",
     "DerivativeBundle",
     "GradientReport",
@@ -56,6 +64,20 @@ __all__ = [
 
 _MIN_ETA = 1e-18
 
+# Levenberg-Marquardt on x = log rho.  The damping starts at _LM_DAMPING0,
+# is divided by _LM_RELAX after an accepted trial (never below
+# _LM_MIN_DAMPING, so it cannot underflow to 0 on a long run of accepted
+# steps) and multiplied by _LM_STIFFEN after a rejected one; past
+# _LM_MAX_DAMPING the step is too short to move any weight, which is a
+# stall.  No log weight moves by more than _LM_MAX_LOG_STEP in one trial,
+# so no weight changes by more than a factor e and exp cannot overflow.
+_LM_DAMPING0 = 1e-3
+_LM_RELAX = 3.0
+_LM_STIFFEN = 2.0
+_LM_MIN_DAMPING = 1e-30
+_LM_MAX_DAMPING = 1e16
+_LM_MAX_LOG_STEP = 1.0
+
 
 @dataclass(frozen=True)
 class FixedStep:
@@ -70,10 +92,23 @@ class Backtracking:
 
 
 @dataclass(frozen=True)
+class LevenbergMarquardt:
+    """Damped Gauss-Newton steps on the log weights; see
+    ``reconstruct_weights``.  Its constants are fixed, so it has no fields."""
+
+
+@dataclass(frozen=True)
 class ReconstructionConfig:
+    """Stopping rule and step rule of ``reconstruct_weights``.
+
+    ``positivity_floor`` is the projection bound of ``FixedStep`` and
+    ``Backtracking``; ``LevenbergMarquardt`` works on log weights, which
+    stay positive without it.
+    """
+
     max_iters: int = 10_000
     cost_tol: float = 1e-8
-    step_rule: FixedStep | Backtracking = Backtracking()
+    step_rule: FixedStep | Backtracking | LevenbergMarquardt = LevenbergMarquardt()
     positivity_floor: float = 1e-8
 
     def __post_init__(self):
@@ -119,6 +154,14 @@ class GradientReport:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """Cost at the start of an iteration and the step that left it.
+
+    ``step`` is the accepted step length eta under ``FixedStep`` and
+    ``Backtracking``, and the accepted damping mu under
+    ``LevenbergMarquardt`` (smaller means closer to a full Gauss-Newton
+    step).  The record of the point where the run stops carries 0.0.
+    """
+
     iteration: int
     cost: float
     step: float
@@ -276,6 +319,28 @@ def _adjoint_gradient(
     return -(lam * (adj @ q) - adj @ (q * c / s))
 
 
+def _pinned_jacobian(
+    g: GraphInstance, rho: np.ndarray, r: np.ndarray, lu
+) -> np.ndarray:
+    """dr/drho, an (n, n) matrix, at the solution r of A r = e_out.
+
+    Differentiating A r = e_out gives J = -A^{-1} D with D's column x equal
+    to (dA/drho(x)) r.  With s = adj @ rho and q = r / s (q(v_out) = 0),
+    (A r)(v) = rho(v) (adj @ q)(v) - r(v) off v_out, plus the constant
+    r(v_out) at v_in, so
+    D = diag(adj @ q) - diag(rho) adj diag(q / s) adj, and D's v_out row is
+    zero because that row of A is constant.  Column v_out is meaningless
+    (rho(v_out) is pinned); row v_out is zero up to rounding.
+    """
+    adj, out = g.adjacency, g.v_out
+    s = adj @ rho
+    q = r / s
+    q[out] = 0.0
+    D = np.diag(adj @ q) - rho[:, None] * (adj @ ((q / s)[:, None] * adj))
+    D[out] = 0.0
+    return -scipy.linalg.lu_solve(lu, D)
+
+
 def occupation_gradient(
     g: GraphInstance, w: WeightAssignment, tau_hat, *, mode: str = "adjoint"
 ) -> GradientReport:
@@ -379,12 +444,19 @@ def reconstruct_weights(
     cfg: ReconstructionConfig | None = None,
     rho0=None,
 ) -> ReconstructionResult:
-    """Steepest descent on the occupation cost from a uniform start.
+    """Fit vertex weights to the target occupation times from a uniform
+    start, by the config's step rule.
 
-    Restricts to supp(tau_hat) first, keeps rho(v_out) pinned at exactly 1,
-    and projects every step onto [positivity_floor, inf).  With the
-    backtracking rule the cost is nonincreasing across iterations; line
-    search underflow raises NoDescent carrying the partial result.
+    Restricts to supp(tau_hat) first and keeps rho(v_out) pinned at exactly
+    1.  The default, ``LevenbergMarquardt``, takes damped Gauss-Newton steps
+    on x = log rho from the Jacobian of the pinned system, so weights stay
+    positive without a floor; it accepts a trial only on a strict cost
+    decrease, and raises NoDescent carrying the partial result when the
+    damping passes its cap.  ``FixedStep`` and ``Backtracking`` are the
+    paper's steepest descent on rho: every step is projected onto
+    [positivity_floor, inf), and with the backtracking rule the cost is
+    nonincreasing across iterations; line search underflow raises
+    NoDescent carrying the partial result.
 
     ``rho0`` overrides the uniform start (indexed over the *support*
     vertices); whether distinct starts reach distinct minimizers is an
@@ -393,7 +465,6 @@ def reconstruct_weights(
     cfg = cfg or ReconstructionConfig()
     sub, tau, support = restrict_support(g, tau_hat)
     n = sub.n
-    free = [v for v in range(n) if v != sub.v_out]
     if rho0 is None:
         rho = np.ones(n)
     else:
@@ -403,6 +474,111 @@ def reconstruct_weights(
         if np.any(rho <= 0):
             raise ValueError("rho0 must be strictly positive")
         rho /= rho[sub.v_out]
+    if isinstance(cfg.step_rule, LevenbergMarquardt):
+        return _levenberg_marquardt(sub, tau, support, rho, cfg)
+    return _steepest_descent(sub, tau, support, rho, cfg)
+
+
+def _result(
+    sub: GraphInstance,
+    support: tuple[int, ...],
+    rho: np.ndarray,
+    log: list[IterationRecord],
+    status: str,
+    theta: float,
+) -> ReconstructionResult:
+    return ReconstructionResult(
+        weights=derived_weights(sub, rho),
+        instance=sub,
+        support=support,
+        log=tuple(log),
+        converged=status == "converged",
+        status=status,
+        final_cost=theta,
+    )
+
+
+def _pinned_residual(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
+    """r, the LU factors of A, and r - tau with its v_out entry zeroed."""
+    r, lu = _pinned_fixed_point(g, rho)
+    resid = r - tau
+    resid[g.v_out] = 0.0
+    return r, lu, resid
+
+
+def _levenberg_marquardt(
+    sub: GraphInstance,
+    tau: np.ndarray,
+    support: tuple[int, ...],
+    rho: np.ndarray,
+    cfg: ReconstructionConfig,
+) -> ReconstructionResult:
+    """Levenberg-Marquardt on x = log rho over the free vertices.
+
+    Each iteration solves (Jx^T Jx + mu I) dx = -Jx^T resid, where
+    Jx = J[:, free] * rho[free] is the Jacobian in log weights, and
+    shortens dx to _LM_MAX_LOG_STEP in the max norm.  The damping is the
+    identity and not Marquardt's diag(Jx^T Jx): log weights are already
+    scale free, and column scaling took more iterations on random trees.
+    Each trial is one forward solve; the accepted trial's r and LU factors
+    are the next iterate's, so an iteration factors A once.  A singular
+    or non-finite trial counts as a rejection.
+    """
+    free = [v for v in range(sub.n) if v != sub.v_out]
+    eye = np.eye(len(free))
+    log: list[IterationRecord] = []
+    r, lu, resid = _pinned_residual(sub, rho, tau)
+    theta = float(resid @ resid)
+    mu = _LM_DAMPING0
+
+    for it in range(cfg.max_iters):
+        if theta <= cfg.cost_tol:
+            log.append(IterationRecord(it, theta, 0.0))
+            return _result(sub, support, rho, log, "converged", theta)
+        jx = _pinned_jacobian(sub, rho, r, lu)[:, free] * rho[free]
+        hess = jx.T @ jx
+        grad = jx.T @ resid
+        while True:
+            if mu > _LM_MAX_DAMPING:
+                log.append(IterationRecord(it, theta, 0.0))
+                raise NoDescent(
+                    f"damping passed {_LM_MAX_DAMPING:.0e} at iteration {it} "
+                    f"(cost {theta:.3e})",
+                    result=_result(sub, support, rho, log, "no_descent", theta),
+                )
+            dx = np.linalg.solve(hess + mu * eye, -grad)
+            dx *= _LM_MAX_LOG_STEP / max(_LM_MAX_LOG_STEP, float(np.abs(dx).max()))
+            cand = rho.copy()
+            cand[free] = rho[free] * np.exp(dx)
+            trial = float("inf")
+            if np.all(np.isfinite(cand) & (cand > 0)):
+                try:
+                    r_new, lu_new, resid_new = _pinned_residual(sub, cand, tau)
+                    trial = float(resid_new @ resid_new)
+                except SingularSystem:
+                    pass
+            if trial < theta:
+                break
+            mu *= _LM_STIFFEN
+        log.append(IterationRecord(it, theta, mu))
+        rho, r, lu, resid, theta = cand, r_new, lu_new, resid_new, trial
+        mu = max(mu / _LM_RELAX, _LM_MIN_DAMPING)
+
+    log.append(IterationRecord(cfg.max_iters, theta, 0.0))
+    status = "converged" if theta <= cfg.cost_tol else "max_iters"
+    return _result(sub, support, rho, log, status, theta)
+
+
+def _steepest_descent(
+    sub: GraphInstance,
+    tau: np.ndarray,
+    support: tuple[int, ...],
+    rho: np.ndarray,
+    cfg: ReconstructionConfig,
+) -> ReconstructionResult:
+    """Projected steepest descent with a fixed or backtracking step."""
+    n = sub.n
+    free = [v for v in range(n) if v != sub.v_out]
     log: list[IterationRecord] = []
 
     eta_prev: float | None = None
@@ -410,15 +586,7 @@ def reconstruct_weights(
     prev_grad: np.ndarray | None = None
 
     def result(status: str, theta: float) -> ReconstructionResult:
-        return ReconstructionResult(
-            weights=derived_weights(sub, rho),
-            instance=sub,
-            support=support,
-            log=tuple(log),
-            converged=status == "converged",
-            status=status,
-            final_cost=theta,
-        )
+        return _result(sub, support, rho, log, status, theta)
 
     def cost_of(vec: np.ndarray) -> float:
         # Candidates clamped to the positivity floor can make the pinned

@@ -212,7 +212,9 @@ def test_criterion_8_end_to_end_reconstruction():
         g = random_tree(n, rng)
         hidden = random_rho(g, rng, 0.2, 5.0)
         target = tau_of(g, hidden)
-        cfg = ww.ReconstructionConfig(max_iters=10_000, cost_tol=1e-8)
+        cfg = ww.ReconstructionConfig(
+            max_iters=10_000, cost_tol=1e-8, step_rule=ww.Backtracking()
+        )
         try:
             res = ww.reconstruct_weights(g, target, cfg)
         except NoDescent as exc:

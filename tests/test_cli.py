@@ -137,8 +137,11 @@ def test_reconstruct_p3(p3_file, tmp_path):
     assert data["status"] == "converged"
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0], abs=1e-6)
     assert_versions(data["manifest"])
+    assert data["manifest"]["step_rule"] == "levenberg_marquardt"
     lines = open(iters).read().splitlines()
-    assert_versions(json.loads(lines[0][len("# manifest: "):]))
+    header = json.loads(lines[0][len("# manifest: "):])
+    assert_versions(header)
+    assert header["step_rule"] == "levenberg_marquardt"
     assert lines[1] == "iter,cost,step"
 
 

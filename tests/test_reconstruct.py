@@ -1,4 +1,5 @@
-"""Cost, gradient routes vs the complex-step oracle, and the descent loop."""
+"""Cost, gradient and Jacobian routes vs the complex-step oracle, and the
+reconstruction loops."""
 
 import dataclasses
 
@@ -18,6 +19,8 @@ from synth import (
     tau_of,
 )
 from walkweights.errors import InvalidTarget, NoDescent, SupportMismatch, ZeroVariance
+from walkweights.occupation import _pinned_fixed_point
+from walkweights.reconstruct import _adjoint_gradient, _pinned_jacobian
 
 
 def single_edge():
@@ -220,6 +223,78 @@ def test_adjoint_matches_finite_differences(case):
     )
 
 
+def complex_step_jacobian(g, rho):
+    """dr/drho column by column, Im r(rho + i h e_x) / h, over the free
+    vertices; exact to rounding (see ``complex_step_gradient``)."""
+    free = [v for v in range(g.n) if v != g.v_out]
+    cols = []
+    for x in free:
+        h = 1e-30 * max(1.0, rho[x])
+        z = rho.astype(complex)
+        z[x] += 1j * h
+        cols.append(_pinned_fixed_point(g, z)[0].imag / h)
+    return np.column_stack(cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_cases())
+def test_pinned_jacobian_matches_complex_step(case):
+    g, rho, _ = case
+    r, lu = _pinned_fixed_point(g, rho)
+    J = _pinned_jacobian(g, rho, r, lu)
+    free = [v for v in range(g.n) if v != g.v_out]
+    exact = complex_step_jacobian(g, rho)
+    # Both sides round in solves with A; with weights log-uniform in
+    # [1e-2, 1e2] the gap was up to 8.9e-8 relative (3000 random trees and
+    # graphs, a third of them with every weight at 1e-2 or 1e2).
+    assert np.abs(J[:, free] - exact).max() <= 1e-6 * max(1.0, np.abs(J).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(gradient_cases())
+def test_jacobian_transpose_residual_is_adjoint_gradient(case):
+    g, rho, tau_hat = case
+    r, lu = _pinned_fixed_point(g, rho)
+    resid = r - tau_hat
+    resid[g.v_out] = 0.0
+    free = [v for v in range(g.n) if v != g.v_out]
+    via_jacobian = 2.0 * _pinned_jacobian(g, rho, r, lu)[:, free].T @ resid
+    adjoint = _adjoint_gradient(g, ww.derived_weights(g, rho), r, lu, resid)[free]
+    # Same LU, other contraction order: up to 6.0e-10 relative on the 3000
+    # cases above.
+    assert np.abs(via_jacobian - adjoint).max() <= 1e-7 * max(
+        1.0, np.abs(adjoint).max()
+    )
+
+
+def test_jacobian_rank_is_hull_dimension():
+    # The local half of the paper's existence conjecture: at generic
+    # weights the forward map is a submersion onto the affine span of the
+    # trace hull.  Every connected graph with n <= 5 and every (v_in, v_out)
+    # pair whose v_out leaves the rest connected: 428 cases.
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = np.random.default_rng(41)
+    checked = 0
+    for G in graph_atlas_g():
+        n = G.number_of_nodes()
+        if n < 2 or n > 5 or not nx.is_connected(G):
+            continue
+        for v_out in range(n):
+            if not nx.is_connected(G.subgraph(set(G) - {v_out})):
+                continue
+            for v_in in set(G) - {v_out}:
+                g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
+                rho = random_rho(g, rng, 0.5, 2.0)
+                r, lu = _pinned_fixed_point(g, rho)
+                free = [v for v in range(n) if v != v_out]
+                rank = np.linalg.matrix_rank(_pinned_jacobian(g, rho, r, lu)[:, free])
+                assert rank == ww.hull_dimension(g), (sorted(G.edges), v_in, v_out)
+                checked += 1
+    assert checked == 428
+
+
 def test_gradient_rejects_unknown_mode():
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
@@ -408,9 +483,11 @@ def test_no_descent_reported(monkeypatch):
     monkeypatch.setattr(
         walkweights.reconstruct, "occupation_gradient", sabotaged
     )
+    # Only steepest descent calls occupation_gradient.
     g = path_instance(3)
+    cfg = ww.ReconstructionConfig(step_rule=ww.Backtracking())
     with pytest.raises(NoDescent) as info:
-        ww.reconstruct_weights(g, [1.0, 2.5, 2.5])
+        ww.reconstruct_weights(g, [1.0, 2.5, 2.5], cfg)
     assert info.value.result.status == "no_descent"
     assert info.value.result.log
 
@@ -425,6 +502,66 @@ def test_custom_start_point():
     assert res.converged and len(res.log) == 1
     with pytest.raises(ValueError):
         ww.reconstruct_weights(g, target, rho0=np.zeros(g.n))
+
+
+def lm_config(**kwargs):
+    return ww.ReconstructionConfig(step_rule=ww.LevenbergMarquardt(), **kwargs)
+
+
+def test_default_step_rule_is_levenberg_marquardt():
+    assert ww.ReconstructionConfig().step_rule == ww.LevenbergMarquardt()
+
+
+def test_lm_converges_on_30_vertex_trees():
+    # LM took at most 9 iterations on this set; Backtracking reached cost
+    # 1e-8 on one of the ten within 10^4.
+    for seed in range(10):
+        rng = np.random.default_rng(4200 + seed)
+        g = random_tree(30, rng)
+        target = tau_of(g, random_rho(g, rng, 0.2, 5.0))
+        res = ww.reconstruct_weights(
+            g, target, lm_config(max_iters=200, cost_tol=1e-8)
+        )
+        assert res.status == "converged", (seed, res.status, res.final_cost)
+
+
+def test_lm_cost_strictly_decreases_and_v_out_stays_pinned():
+    for seed in range(5):
+        rng = np.random.default_rng(4300 + seed)
+        g = random_connected_instance(8, rng)
+        target = tau_of(g, random_rho(g, rng, 0.2, 5.0))
+        res = ww.reconstruct_weights(g, target, lm_config(cost_tol=1e-14))
+        costs = [rec.cost for rec in res.log]
+        assert len(costs) > 2
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        assert res.weights.rho[res.instance.v_out] == 1.0
+        # the step column holds the accepted damping; the last record 0.0
+        assert all(rec.step > 0 for rec in res.log[:-1])
+        assert res.log[-1].step == 0.0
+
+
+def test_lm_stops_without_faking_unreachable_target():
+    # tau(middle) = tau(v_in) on a path; the closest reachable vector is
+    # [1, 2.5, 2.5], at cost 0.5.
+    g = path_instance(3)
+    try:
+        res = ww.reconstruct_weights(
+            g, [1.0, 2.0, 3.0], lm_config(max_iters=200, cost_tol=1e-10)
+        )
+    except NoDescent as exc:
+        res = exc.result
+    assert res.status in ("max_iters", "no_descent")
+    assert res.final_cost > 1e-3
+    assert res.final_cost == pytest.approx(0.5, rel=1e-6)
+
+
+def test_lm_start_at_hidden_weights_is_one_record():
+    rng = np.random.default_rng(4400)
+    g = random_tree(12, rng)
+    hidden = random_rho(g, rng)
+    res = ww.reconstruct_weights(g, tau_of(g, hidden), lm_config(), rho0=hidden)
+    assert res.converged and len(res.log) == 1
+    assert np.array_equal(res.weights.rho, hidden)
 
 
 # -- expertise correlation ------------------------------------------------------------
