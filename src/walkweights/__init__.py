@@ -2,8 +2,9 @@
 
 The library computes expected visit counts three independent ways
 (Green's-function formula, fixed-point solve, seeded Monte Carlo),
-reconstructs vertex weights from target occupation times by
-Levenberg-Marquardt on the log weights (or the paper's steepest descent),
+reconstructs vertex weights from target occupation times
+(``reconstruct_weights``: Levenberg-Marquardt on the log weights;
+``steepest_descent``: the paper's projected descent),
 and decides/constructs exact solutions on paths, complete graphs, and
 pendant/twin-reducible graphs.
 """
@@ -32,10 +33,7 @@ from .occupation import (
     occupation_matrix,
 )
 from .reconstruct import (
-    Backtracking,
-    FixedStep,
     GradientReport,
-    LevenbergMarquardt,
     ReconstructionConfig,
     ReconstructionResult,
     complex_step_gradient,
@@ -45,6 +43,7 @@ from .reconstruct import (
     occupation_gradient,
     reconstruct_weights,
     restrict_support,
+    steepest_descent,
     weight_jacobians,
 )
 from .solvability import (

@@ -142,8 +142,7 @@ def _cmd_reconstruct(args) -> int:
     g, _ = load_instance(args.instance)
     tau = _load_target(args.target)
     cfg = reconstruct.ReconstructionConfig(
-        max_iters=args.max_iters, cost_tol=args.cost_tol,
-        step_rule=reconstruct.LevenbergMarquardt(),
+        max_iters=args.max_iters, cost_tol=args.cost_tol
     )
     status = "no_descent"
     try:
@@ -177,10 +176,9 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_solve(args) -> int:
     g, _ = load_instance(args.instance)
     r = _load_target(args.target)
-    family = args.family
-    if family == "auto":
-        detected = solvability.detect_family(g)
-        family = detected if detected != "other" else "reducible"
+    family = solvability.detect_family(g)
+    if family == "other":
+        family = "reducible"
     if family == "path":
         w = solvability.solve_path(g, r)
     elif family == "complete":
@@ -289,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact solve for path/complete/reducible")
     p.add_argument("--instance", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--family", choices=("auto", "path", "complete"), default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(run=_cmd_solve)
 

@@ -74,8 +74,9 @@ class SupportMismatch(WalkWeightsError):
 
 
 class NoDescent(WalkWeightsError):
-    """The step rule found no decrease: the backtracking line search
-    underflowed, or the Levenberg-Marquardt damping passed its cap.
+    """A reconstruction found no decrease: the Levenberg-Marquardt damping
+    of ``reconstruct_weights`` passed its cap, or the line search of
+    ``steepest_descent`` underflowed.
 
     Carries the partial result in ``result`` when raised by the solver.
     """

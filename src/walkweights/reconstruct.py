@@ -6,11 +6,11 @@ of it come from the pinned fixed-point system A r = e_out that the cost
 already solves, reusing A's LU factors:
 
 * the full Jacobian dr/drho = -A^{-1} D, one multi-right-hand-side
-  back-solve (``_pinned_jacobian``).  It drives the default step rule,
-  ``LevenbergMarquardt``: damped Gauss-Newton steps on the log weights;
+  back-solve (``_pinned_jacobian``).  It drives ``reconstruct_weights``:
+  Levenberg-Marquardt, damped Gauss-Newton steps on the log weights;
 * the cost gradient by the adjoint, one transposed back-solve and a few
-  adjacency mat-vecs (``occupation_gradient``).  It drives the paper's
-  projected steepest descent, the ``FixedStep`` and ``Backtracking`` rules.
+  adjacency mat-vecs (``occupation_gradient``).  It drives
+  ``steepest_descent``, the paper's projected descent on the weights.
 
 The paper's Green's-function chain (weight jacobians, the
 normalized-Laplacian derivative, the null-eigenvector derivative, and the
@@ -44,9 +44,6 @@ from .occupation import (
 from .spectral_green import SpectralData, pseudoinverse_derivative, spectral_data
 
 __all__ = [
-    "FixedStep",
-    "Backtracking",
-    "LevenbergMarquardt",
     "ReconstructionConfig",
     "DerivativeBundle",
     "GradientReport",
@@ -59,10 +56,9 @@ __all__ = [
     "complex_step_gradient",
     "restrict_support",
     "reconstruct_weights",
+    "steepest_descent",
     "expertise_correlation",
 ]
-
-_MIN_ETA = 1e-18
 
 # Levenberg-Marquardt on x = log rho.  The damping starts at _LM_DAMPING0,
 # is divided by _LM_RELAX after an accepted trial (never below
@@ -78,44 +74,32 @@ _LM_MIN_DAMPING = 1e-30
 _LM_MAX_DAMPING = 1e16
 _LM_MAX_LOG_STEP = 1.0
 
-
-@dataclass(frozen=True)
-class FixedStep:
-    eta: float
-
-
-@dataclass(frozen=True)
-class Backtracking:
-    eta0: float = 0.1
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-
-
-@dataclass(frozen=True)
-class LevenbergMarquardt:
-    """Damped Gauss-Newton steps on the log weights; see
-    ``reconstruct_weights``.  Its constants are fixed, so it has no fields."""
+# The paper's projected steepest descent.  A step with no usable
+# Barzilai-Borwein estimate starts at most at _SD_ETA0; each Armijo
+# rejection (sufficient decrease _SD_ARMIJO_C) multiplies it by _SD_SHRINK,
+# and below _SD_MIN_ETA the line search has underflowed, which is a stall.
+# Every step is projected onto [_SD_FLOOR, inf).
+_SD_ETA0 = 0.1
+_SD_SHRINK = 0.5
+_SD_ARMIJO_C = 1e-4
+_SD_MIN_ETA = 1e-18
+_SD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
-    """Stopping rule and step rule of ``reconstruct_weights``.
-
-    ``positivity_floor`` is the projection bound of ``FixedStep`` and
-    ``Backtracking``; ``LevenbergMarquardt`` works on log weights, which
-    stay positive without it.
-    """
+    """Stopping rule of ``reconstruct_weights`` and ``steepest_descent``:
+    at most ``max_iters`` iterations, converged once the cost is at most
+    ``cost_tol``."""
 
     max_iters: int = 10_000
     cost_tol: float = 1e-8
-    step_rule: FixedStep | Backtracking | LevenbergMarquardt = LevenbergMarquardt()
-    positivity_floor: float = 1e-8
 
     def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.cost_tol <= 0:
             raise ValueError("cost_tol must be positive")
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,10 +140,10 @@ class GradientReport:
 class IterationRecord:
     """Cost at the start of an iteration and the step that left it.
 
-    ``step`` is the accepted step length eta under ``FixedStep`` and
-    ``Backtracking``, and the accepted damping mu under
-    ``LevenbergMarquardt`` (smaller means closer to a full Gauss-Newton
-    step).  The record of the point where the run stops carries 0.0.
+    ``step`` is the accepted damping mu in ``reconstruct_weights``
+    (smaller means closer to a full Gauss-Newton step) and the accepted
+    step length eta in ``steepest_descent``.  The record of the point where
+    the run stops carries 0.0.
     """
 
     iteration: int
@@ -195,10 +179,17 @@ def cost(g: GraphInstance, w: WeightAssignment, tau_hat) -> float:
     """
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
-    model = expected_occupation_fixed_point(g, w).values
-    resid = model - tau
+    resid = expected_occupation_fixed_point(g, w).values - tau
     resid[g.v_out] = 0.0
     return float(resid @ resid)
+
+
+def _pinned_residual(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
+    """r, the LU factors of A, and r - tau with its v_out entry zeroed."""
+    r, lu = _pinned_fixed_point(g, rho)
+    resid = r - tau
+    resid[g.v_out] = 0.0
+    return r, lu, resid
 
 
 def weight_jacobians(g: GraphInstance, w: WeightAssignment, x: int) -> DerivativeBundle:
@@ -299,7 +290,7 @@ def _d_tau(
 
 
 def _adjoint_gradient(
-    g: GraphInstance, w: WeightAssignment, r: np.ndarray, lu, resid: np.ndarray
+    g: GraphInstance, rho: np.ndarray, r: np.ndarray, lu, resid: np.ndarray
 ) -> np.ndarray:
     """d(cost)/d rho over all vertices by the adjoint of A r = e_out.
 
@@ -310,10 +301,10 @@ def _adjoint_gradient(
     """
     adj, out = g.adjacency, g.v_out
     lam = scipy.linalg.lu_solve(lu, 2.0 * resid, trans=1)
-    s = adj @ w.rho
+    s = adj @ rho
     q = r / s
     q[out] = 0.0
-    lam_rho = lam * w.rho
+    lam_rho = lam * rho
     lam_rho[out] = 0.0
     c = adj @ lam_rho
     return -(lam * (adj @ q) - adj @ (q * c / s))
@@ -364,14 +355,12 @@ def occupation_gradient(
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
     free = tuple(v for v in range(g.n) if v != g.v_out)
-    r, lu = _pinned_fixed_point(g, w.rho)
-    resid = r - tau
-    resid[g.v_out] = 0.0
+    r, lu, resid = _pinned_residual(g, w.rho, tau)
     theta = float(resid @ resid)
 
     bundles = None
     if mode == "adjoint":
-        grad = _adjoint_gradient(g, w, r, lu, resid)[list(free)]
+        grad = _adjoint_gradient(g, w.rho, r, lu, resid)[list(free)]
     else:
         spec = spectral_data(g, w)
         bundles = tuple(
@@ -385,14 +374,29 @@ def occupation_gradient(
     )
 
 
+def _complex_step_jacobian(g: GraphInstance, rho: np.ndarray) -> np.ndarray:
+    """dr/drho over the free vertices, an (n, n - 1) matrix, by the complex
+    step.
+
+    r is rational in rho, so Im r(rho + i h e_x) / h equals dr/drho(x) up
+    to O(h^2) with no subtractive cancellation; with
+    h = 1e-30 * max(1, rho(x)) that term is far below rounding, so each
+    column is exact to rounding and no step size has to be tuned.
+    """
+    free = [v for v in range(g.n) if v != g.v_out]
+    J = np.empty((g.n, len(free)))
+    for k, x in enumerate(free):
+        h = 1e-30 * max(1.0, rho[x])
+        z = rho.astype(complex)
+        z[x] += 1j * h
+        J[:, k] = _pinned_fixed_point(g, z)[0].imag / h
+    return J
+
+
 def complex_step_gradient(g: GraphInstance, rho, tau_hat) -> np.ndarray:
     """Cost gradient over the free vertices by the complex step.
 
-    tau is rational in rho, so Im tau(rho + i h e_x) / h equals
-    d tau / d rho(x) up to O(h^2) with no subtractive cancellation; with
-    h = 1e-30 * max(1, rho(x)) that term is far below rounding, so each
-    column is exact to rounding and no step size has to be tuned.  The
-    chain rule through the square, 2 resid . d tau / d rho(x), takes the
+    The chain rule through the square, 2 resid . dr/drho(x), takes the
     residual of the real solve that ``cost`` sees: the complex solve's
     real part rounds differently, and near a zero residual that rounding
     would dominate the gradient.
@@ -400,17 +404,8 @@ def complex_step_gradient(g: GraphInstance, rho, tau_hat) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
-    r, _ = _pinned_fixed_point(g, rho)
-    resid = r - tau
-    resid[g.v_out] = 0.0
-    free = [v for v in range(g.n) if v != g.v_out]
-    grad = np.empty(len(free))
-    for k, x in enumerate(free):
-        h = 1e-30 * max(1.0, rho[x])
-        z = rho.astype(complex)
-        z[x] += 1j * h
-        grad[k] = 2.0 * float(resid @ _pinned_fixed_point(g, z)[0].imag) / h
-    return grad
+    resid = _pinned_residual(g, rho, tau)[2]
+    return 2.0 * resid @ _complex_step_jacobian(g, rho)
 
 
 def restrict_support(
@@ -438,45 +433,40 @@ def restrict_support(
     return sub, tau[list(support)], support
 
 
-def reconstruct_weights(
-    g: GraphInstance,
-    tau_hat,
-    cfg: ReconstructionConfig | None = None,
-    rho0=None,
-) -> ReconstructionResult:
-    """Fit vertex weights to the target occupation times from a uniform
-    start, by the config's step rule.
+def _start(g: GraphInstance, tau_hat, rho0):
+    """The support subgraph, its target, the support, and the start point.
 
-    Restricts to supp(tau_hat) first and keeps rho(v_out) pinned at exactly
-    1.  The default, ``LevenbergMarquardt``, takes damped Gauss-Newton steps
-    on x = log rho from the Jacobian of the pinned system, so weights stay
-    positive without a floor; it accepts a trial only on a strict cost
-    decrease, and raises NoDescent carrying the partial result when the
-    damping passes its cap.  ``FixedStep`` and ``Backtracking`` are the
-    paper's steepest descent on rho: every step is projected onto
-    [positivity_floor, inf), and with the backtracking rule the cost is
-    nonincreasing across iterations; line search underflow raises
-    NoDescent carrying the partial result.
-
-    ``rho0`` overrides the uniform start (indexed over the *support*
-    vertices); whether distinct starts reach distinct minimizers is an
-    open question, so multi-start runs are the caller's experiment.
+    ``rho0`` (indexed over the support vertices) overrides the uniform
+    start; it is rescaled so rho(v_out) = 1.
     """
-    cfg = cfg or ReconstructionConfig()
     sub, tau, support = restrict_support(g, tau_hat)
     n = sub.n
     if rho0 is None:
-        rho = np.ones(n)
-    else:
-        rho = np.asarray(rho0, dtype=float).copy()
-        if rho.shape != (n,):
-            raise ValueError(f"rho0 has shape {rho.shape}, expected ({n},)")
-        if np.any(rho <= 0):
-            raise ValueError("rho0 must be strictly positive")
-        rho /= rho[sub.v_out]
-    if isinstance(cfg.step_rule, LevenbergMarquardt):
-        return _levenberg_marquardt(sub, tau, support, rho, cfg)
-    return _steepest_descent(sub, tau, support, rho, cfg)
+        return sub, tau, support, np.ones(n)
+    rho = np.asarray(rho0, dtype=float).copy()
+    if rho.shape != (n,):
+        raise ValueError(f"rho0 has shape {rho.shape}, expected ({n},)")
+    bad = np.flatnonzero(~(np.isfinite(rho) & (rho > 0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"rho0[{k}] (vertex {support[k]}) is {rho[k]}, not a positive real"
+        )
+    rho /= rho[sub.v_out]
+    return sub, tau, support, rho
+
+
+def _trial(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
+    """The cost at a trial point and its ``_pinned_residual`` triple; the
+    cost is inf when the point is not positive and finite or the pinned
+    system there is singular, so the trial is rejected."""
+    if np.all(np.isfinite(rho) & (rho > 0)):
+        try:
+            r, lu, resid = _pinned_residual(g, rho, tau)
+            return float(resid @ resid), (r, lu, resid)
+        except SingularSystem:
+            pass
+    return float("inf"), None
 
 
 def _result(
@@ -484,9 +474,13 @@ def _result(
     support: tuple[int, ...],
     rho: np.ndarray,
     log: list[IterationRecord],
-    status: str,
+    it: int,
     theta: float,
+    status: str,
 ) -> ReconstructionResult:
+    """The result of a run that stops at iteration ``it``, after closing
+    its log with that point's record."""
+    log.append(IterationRecord(it, theta, 0.0))
     return ReconstructionResult(
         weights=derived_weights(sub, rho),
         instance=sub,
@@ -498,32 +492,33 @@ def _result(
     )
 
 
-def _pinned_residual(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
-    """r, the LU factors of A, and r - tau with its v_out entry zeroed."""
-    r, lu = _pinned_fixed_point(g, rho)
-    resid = r - tau
-    resid[g.v_out] = 0.0
-    return r, lu, resid
-
-
-def _levenberg_marquardt(
-    sub: GraphInstance,
-    tau: np.ndarray,
-    support: tuple[int, ...],
-    rho: np.ndarray,
-    cfg: ReconstructionConfig,
+def reconstruct_weights(
+    g: GraphInstance,
+    tau_hat,
+    cfg: ReconstructionConfig | None = None,
+    rho0=None,
 ) -> ReconstructionResult:
-    """Levenberg-Marquardt on x = log rho over the free vertices.
+    """Fit vertex weights to the target occupation times by
+    Levenberg-Marquardt on x = log rho, from a uniform start.
 
+    Restricts to supp(tau_hat) first and keeps rho(v_out) pinned at exactly
+    1; working on log weights keeps the others positive without a floor.
     Each iteration solves (Jx^T Jx + mu I) dx = -Jx^T resid, where
-    Jx = J[:, free] * rho[free] is the Jacobian in log weights, and
-    shortens dx to _LM_MAX_LOG_STEP in the max norm.  The damping is the
-    identity and not Marquardt's diag(Jx^T Jx): log weights are already
-    scale free, and column scaling took more iterations on random trees.
-    Each trial is one forward solve; the accepted trial's r and LU factors
-    are the next iterate's, so an iteration factors A once.  A singular
-    or non-finite trial counts as a rejection.
+    Jx = J[:, free] * rho[free] is the pinned system's Jacobian in log
+    weights, and shortens dx to _LM_MAX_LOG_STEP in the max norm.  The
+    damping is the identity and not Marquardt's diag(Jx^T Jx): log weights
+    are already scale free, and column scaling took more iterations on
+    random trees.  A trial is accepted only on a strict cost decrease; a
+    singular or non-finite trial counts as a rejection.  When the damping
+    passes its cap, NoDescent carries the partial result.
+
+    ``rho0`` overrides the uniform start (indexed over the *support*
+    vertices; zero, negative or non-finite entries raise ValueError);
+    whether distinct starts reach distinct minimizers is an open question,
+    so multi-start runs are the caller's experiment.
     """
+    cfg = cfg or ReconstructionConfig()
+    sub, tau, support, rho = _start(g, tau_hat, rho0)
     free = [v for v in range(sub.n) if v != sub.v_out]
     eye = np.eye(len(free))
     log: list[IterationRecord] = []
@@ -533,135 +528,99 @@ def _levenberg_marquardt(
 
     for it in range(cfg.max_iters):
         if theta <= cfg.cost_tol:
-            log.append(IterationRecord(it, theta, 0.0))
-            return _result(sub, support, rho, log, "converged", theta)
+            return _result(sub, support, rho, log, it, theta, "converged")
         jx = _pinned_jacobian(sub, rho, r, lu)[:, free] * rho[free]
         hess = jx.T @ jx
         grad = jx.T @ resid
         while True:
             if mu > _LM_MAX_DAMPING:
-                log.append(IterationRecord(it, theta, 0.0))
                 raise NoDescent(
                     f"damping passed {_LM_MAX_DAMPING:.0e} at iteration {it} "
                     f"(cost {theta:.3e})",
-                    result=_result(sub, support, rho, log, "no_descent", theta),
+                    result=_result(sub, support, rho, log, it, theta, "no_descent"),
                 )
             dx = np.linalg.solve(hess + mu * eye, -grad)
             dx *= _LM_MAX_LOG_STEP / max(_LM_MAX_LOG_STEP, float(np.abs(dx).max()))
             cand = rho.copy()
             cand[free] = rho[free] * np.exp(dx)
-            trial = float("inf")
-            if np.all(np.isfinite(cand) & (cand > 0)):
-                try:
-                    r_new, lu_new, resid_new = _pinned_residual(sub, cand, tau)
-                    trial = float(resid_new @ resid_new)
-                except SingularSystem:
-                    pass
+            trial, state = _trial(sub, cand, tau)
             if trial < theta:
                 break
             mu *= _LM_STIFFEN
         log.append(IterationRecord(it, theta, mu))
-        rho, r, lu, resid, theta = cand, r_new, lu_new, resid_new, trial
+        rho, (r, lu, resid), theta = cand, state, trial
         mu = max(mu / _LM_RELAX, _LM_MIN_DAMPING)
 
-    log.append(IterationRecord(cfg.max_iters, theta, 0.0))
     status = "converged" if theta <= cfg.cost_tol else "max_iters"
-    return _result(sub, support, rho, log, status, theta)
+    return _result(sub, support, rho, log, cfg.max_iters, theta, status)
 
 
-def _steepest_descent(
-    sub: GraphInstance,
-    tau: np.ndarray,
-    support: tuple[int, ...],
-    rho: np.ndarray,
-    cfg: ReconstructionConfig,
+def steepest_descent(
+    g: GraphInstance,
+    tau_hat,
+    cfg: ReconstructionConfig | None = None,
+    rho0=None,
 ) -> ReconstructionResult:
-    """Projected steepest descent with a fixed or backtracking step."""
-    n = sub.n
-    free = [v for v in range(n) if v != sub.v_out]
-    log: list[IterationRecord] = []
+    """The paper's reconstruction: projected steepest descent on rho with an
+    Armijo line search, from a uniform start.
 
+    Same support restriction, pinning, start point and result as
+    ``reconstruct_weights``.  The gradient is the adjoint one.  The trial
+    step is the Barzilai-Borwein spectral step when the previous iterate
+    gives a usable curvature estimate, otherwise it grows from the last
+    accepted step, never above _SD_ETA0; plain restarts at _SD_ETA0 stall
+    on ill-conditioned instances.  Backtracking keeps either choice a
+    descent step, every step is projected onto [_SD_FLOOR, inf), and the
+    cost strictly decreases across iterations.  When the line search
+    underflows, NoDescent carries the partial result.
+    """
+    cfg = cfg or ReconstructionConfig()
+    sub, tau, support, rho = _start(g, tau_hat, rho0)
+    free = [v for v in range(sub.n) if v != sub.v_out]
+    log: list[IterationRecord] = []
+    r, lu, resid = _pinned_residual(sub, rho, tau)
+    theta = float(resid @ resid)
     eta_prev: float | None = None
     prev_free: np.ndarray | None = None
     prev_grad: np.ndarray | None = None
 
-    def result(status: str, theta: float) -> ReconstructionResult:
-        return _result(sub, support, rho, log, status, theta)
-
-    def cost_of(vec: np.ndarray) -> float:
-        # Candidates clamped to the positivity floor can make the pinned
-        # system numerically singular; treat that as an infeasible trial.
-        try:
-            return cost(sub, derived_weights(sub, vec), tau)
-        except SingularSystem:
-            return float("inf")
-
     for it in range(cfg.max_iters):
-        rep = occupation_gradient(sub, derived_weights(sub, rho), tau)
-        theta = rep.cost
         if theta <= cfg.cost_tol:
-            log.append(IterationRecord(it, theta, 0.0))
-            return result("converged", theta)
-
-        grad = rep.gradient
-        if isinstance(cfg.step_rule, FixedStep):
-            eta = cfg.step_rule.eta
-            rho_new = rho.copy()
-            rho_new[free] = np.maximum(
-                rho[free] - eta * grad, cfg.positivity_floor
-            )
-        else:
-            rule = cfg.step_rule
-            gg = float(grad @ grad)
-            # Trial step: adaptive Barzilai-Borwein spectral step when the
-            # previous iterate gives a usable curvature estimate, otherwise
-            # grow from the last accepted step (never above eta0 in that
-            # case).  The Armijo backtracking below safeguards either
-            # choice, so the descent property is unaffected; plain eta0
-            # restarts stall on ill-conditioned instances.
-            eta = None
-            if prev_free is not None:
-                s = rho[free] - prev_free
-                y = grad - prev_grad
-                sy = float(s @ y)
-                if sy > 0:
-                    bb1 = float(s @ s) / sy
-                    bb2 = sy / float(y @ y)
-                    eta = min(bb2 if bb2 < 0.8 * bb1 else bb1, 1e8)
-            if eta is None:
-                eta = rule.eta0 if eta_prev is None else min(
-                    rule.eta0, eta_prev / rule.shrink
-                )
-            prev_free = rho[free].copy()
-            prev_grad = grad.copy()
-            rho_new = None
-            while eta >= _MIN_ETA:
-                cand = rho.copy()
-                cand[free] = np.maximum(
-                    rho[free] - eta * grad, cfg.positivity_floor
-                )
-                # Strict decrease so that zero-movement candidates (step
-                # underflow) surface as NoDescent instead of treadmilling.
-                if cost_of(cand) < theta - rule.armijo_c * eta * gg:
-                    rho_new = cand
-                    break
-                eta *= rule.shrink
-            if rho_new is None:
-                log.append(IterationRecord(it, theta, 0.0))
+            return _result(sub, support, rho, log, it, theta, "converged")
+        grad = _adjoint_gradient(sub, rho, r, lu, resid)[free]
+        gg = float(grad @ grad)
+        eta = None
+        if prev_free is not None:
+            s = rho[free] - prev_free
+            y = grad - prev_grad
+            sy = float(s @ y)
+            if sy > 0:
+                bb1 = float(s @ s) / sy
+                bb2 = sy / float(y @ y)
+                eta = min(bb2 if bb2 < 0.8 * bb1 else bb1, 1e8)
+        if eta is None:
+            eta = _SD_ETA0 if eta_prev is None else min(_SD_ETA0, eta_prev / _SD_SHRINK)
+        prev_free, prev_grad = rho[free], grad
+        while True:
+            if eta < _SD_MIN_ETA:
                 raise NoDescent(
-                    f"line search underflowed at iteration {it} "
-                    f"(cost {theta:.3e})",
-                    result=result("no_descent", theta),
+                    f"line search underflowed at iteration {it} (cost {theta:.3e})",
+                    result=_result(sub, support, rho, log, it, theta, "no_descent"),
                 )
+            cand = rho.copy()
+            cand[free] = np.maximum(rho[free] - eta * grad, _SD_FLOOR)
+            trial, state = _trial(sub, cand, tau)
+            # Strict decrease, so that a step too short to move any weight
+            # surfaces as NoDescent instead of treadmilling.
+            if trial < theta - _SD_ARMIJO_C * eta * gg:
+                break
+            eta *= _SD_SHRINK
         log.append(IterationRecord(it, theta, eta))
-        rho = rho_new
+        rho, (r, lu, resid), theta = cand, state, trial
         eta_prev = eta
 
-    theta = cost_of(rho)
-    log.append(IterationRecord(cfg.max_iters, theta, 0.0))
-    if theta <= cfg.cost_tol:
-        return result("converged", theta)
-    return result("max_iters", theta)
+    status = "converged" if theta <= cfg.cost_tol else "max_iters"
+    return _result(sub, support, rho, log, cfg.max_iters, theta, status)
 
 
 def expertise_correlation(g: GraphInstance, w: WeightAssignment) -> float:

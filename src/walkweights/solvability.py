@@ -54,6 +54,11 @@ __all__ = [
 
 RELINT_CERT_TOL = 1e-9
 _HYPERPLANE_ATOL = 1e-9
+# Relative forward round-trip bound of the complete-graph and reduction
+# solvers, and the bisection's interval width and step cap.
+_VERIFY_TOL = 1e-8
+_BISECT_TOL = 1e-15
+_MAX_BISECT = 200
 
 
 # -- traces and walks -------------------------------------------------------
@@ -303,14 +308,7 @@ def _complete_betas(t: float, r_rest: np.ndarray, j_max: int, r_max: float):
     return b1, betas
 
 
-def solve_complete(
-    g: GraphInstance,
-    r,
-    *,
-    verify_tol: float = 1e-8,
-    bisect_tol: float = 1e-15,
-    max_bisect: int = 200,
-) -> WeightAssignment:
+def solve_complete(g: GraphInstance, r) -> WeightAssignment:
     """Exact simplex weights for a complete-graph target.
 
     Solves r_j = beta_j (1 - beta_j) / beta_1 for j not in {out, in} and
@@ -357,8 +355,8 @@ def solve_complete(
         return (1.0 - s) * (b1 + s) / b1 - r2
 
     lo, hi = 0.0, 1.0  # residual > 0 as t -> 0 and < 0 as t -> 1
-    for _ in range(max_bisect):
-        if hi - lo <= bisect_tol:
+    for _ in range(_MAX_BISECT):
+        if hi - lo <= _BISECT_TOL:
             break
         t = 0.5 * (lo + hi)
         if residual(t) > 0:
@@ -372,7 +370,7 @@ def solve_complete(
     beta[vin] = 1.0 - b1 - float(betas.sum())
     beta[rest] = betas
     w = derived_weights(g, beta / b1)
-    _verify_forward(g, w, r, verify_tol, "complete solver")
+    _verify_forward(g, w, r, _VERIFY_TOL, "complete solver")
     return w
 
 
@@ -393,9 +391,7 @@ def _verify_forward(
         )
 
 
-def solve_reducible(
-    g: GraphInstance, r, *, verify_tol: float = 1e-8
-) -> WeightAssignment:
+def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
     """Exact weights via pendant stripping and twin merging.
 
     Greedily strips pendant vertices (deepest from v_out first), merges
@@ -474,7 +470,7 @@ def solve_reducible(
         if kind == "path":
             w_sub = solve_path(sub, r_sub)
         else:
-            w_sub = solve_complete(sub, r_sub, verify_tol=verify_tol)
+            w_sub = solve_complete(sub, r_sub)
     except NotInPsi as exc:
         raise NotInPsi(f"{kind} base case: {exc}") from exc
 
@@ -493,5 +489,5 @@ def solve_reducible(
 
     rho_full = np.array([rho[v] for v in range(g.n)])
     w_full = derived_weights(g, rho_full)
-    _verify_forward(g, w_full, r, verify_tol, "reduction replay")
+    _verify_forward(g, w_full, r, _VERIFY_TOL, "reduction replay")
     return w_full

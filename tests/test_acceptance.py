@@ -212,11 +212,9 @@ def test_criterion_8_end_to_end_reconstruction():
         g = random_tree(n, rng)
         hidden = random_rho(g, rng, 0.2, 5.0)
         target = tau_of(g, hidden)
-        cfg = ww.ReconstructionConfig(
-            max_iters=10_000, cost_tol=1e-8, step_rule=ww.Backtracking()
-        )
+        cfg = ww.ReconstructionConfig(max_iters=10_000, cost_tol=1e-8)
         try:
-            res = ww.reconstruct_weights(g, target, cfg)
+            res = ww.steepest_descent(g, target, cfg)
         except NoDescent as exc:
             res = exc.result
         good = res.final_cost <= 1e-6

@@ -215,6 +215,16 @@ def test_reconstruct_has_one_gradient(p3_file, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_reconstruct_negative_max_iters_is_input_error(p3_file, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps([1.0, 2.5, 2.5]))
+    out = tmp_path / "w.json"
+    assert main(["reconstruct", "--instance", p3_file, "--target", str(target),
+                 "--out", str(out), "--max-iters", "-3"]) == 1
+    assert "max_iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -230,7 +240,7 @@ def test_solve_path_cli(p4_file, tmp_path):
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0, 0.5], abs=1e-9)
 
 
-def test_solve_complete_cli(k3_file, tmp_path):
+def test_solve_complete_cli(k3_file, tmp_path, capsys):
     target = tmp_path / "r.json"
     target.write_text(json.dumps([1.0, 4.0 / 3.0, 2.0 / 3.0]))
     out = str(tmp_path / "w.json")
@@ -239,6 +249,11 @@ def test_solve_complete_cli(k3_file, tmp_path):
     data = read_json(out)
     assert data["family"] == "complete"
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0], abs=1e-8)
+    # the family is always detected, never chosen
+    with pytest.raises(SystemExit):
+        main(["solve", "--instance", k3_file, "--target", str(target),
+              "--family", "path"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_petersen_irreducible(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Cost, gradient and Jacobian routes vs the complex-step oracle, and the
-reconstruction loops."""
+two reconstruction loops."""
 
 import dataclasses
 
@@ -20,7 +20,11 @@ from synth import (
 )
 from walkweights.errors import InvalidTarget, NoDescent, SupportMismatch, ZeroVariance
 from walkweights.occupation import _pinned_fixed_point
-from walkweights.reconstruct import _adjoint_gradient, _pinned_jacobian
+from walkweights.reconstruct import (
+    _adjoint_gradient,
+    _complex_step_jacobian,
+    _pinned_jacobian,
+)
 
 
 def single_edge():
@@ -223,19 +227,6 @@ def test_adjoint_matches_finite_differences(case):
     )
 
 
-def complex_step_jacobian(g, rho):
-    """dr/drho column by column, Im r(rho + i h e_x) / h, over the free
-    vertices; exact to rounding (see ``complex_step_gradient``)."""
-    free = [v for v in range(g.n) if v != g.v_out]
-    cols = []
-    for x in free:
-        h = 1e-30 * max(1.0, rho[x])
-        z = rho.astype(complex)
-        z[x] += 1j * h
-        cols.append(_pinned_fixed_point(g, z)[0].imag / h)
-    return np.column_stack(cols)
-
-
 @settings(max_examples=60, deadline=None)
 @given(gradient_cases())
 def test_pinned_jacobian_matches_complex_step(case):
@@ -243,7 +234,7 @@ def test_pinned_jacobian_matches_complex_step(case):
     r, lu = _pinned_fixed_point(g, rho)
     J = _pinned_jacobian(g, rho, r, lu)
     free = [v for v in range(g.n) if v != g.v_out]
-    exact = complex_step_jacobian(g, rho)
+    exact = _complex_step_jacobian(g, rho)
     # Both sides round in solves with A; with weights log-uniform in
     # [1e-2, 1e2] the gap was up to 8.9e-8 relative (3000 random trees and
     # graphs, a third of them with every weight at 1e-2 or 1e2).
@@ -259,7 +250,7 @@ def test_jacobian_transpose_residual_is_adjoint_gradient(case):
     resid[g.v_out] = 0.0
     free = [v for v in range(g.n) if v != g.v_out]
     via_jacobian = 2.0 * _pinned_jacobian(g, rho, r, lu)[:, free].T @ resid
-    adjoint = _adjoint_gradient(g, ww.derived_weights(g, rho), r, lu, resid)[free]
+    adjoint = _adjoint_gradient(g, rho, r, lu, resid)[free]
     # Same LU, other contraction order: up to 6.0e-10 relative on the 3000
     # cases above.
     assert np.abs(via_jacobian - adjoint).max() <= 1e-7 * max(
@@ -406,13 +397,12 @@ def test_reconstruct_uniform_start_is_solution():
 def test_reconstruct_p4_target():
     g = path_instance(4)
     target = np.array([1.0, 2.0, 3.0, 2.0])
-    res = ww.reconstruct_weights(
-        g, target, ww.ReconstructionConfig(cost_tol=1e-10)
-    )
-    assert res.converged and res.final_cost <= 1e-6
-    P_rec = ww.transition_matrix(res.instance, res.weights)
     P_true = ww.transition_matrix(g, ww.solve_path(g, target))
-    assert np.abs(P_rec - P_true).max() <= 1e-3
+    for fit in (ww.reconstruct_weights, ww.steepest_descent):
+        res = fit(g, target, ww.ReconstructionConfig(cost_tol=1e-10))
+        assert res.converged and res.final_cost <= 1e-6
+        P_rec = ww.transition_matrix(res.instance, res.weights)
+        assert np.abs(P_rec - P_true).max() <= 1e-3
 
 
 def test_reconstruct_random_tree_round_trip():
@@ -439,12 +429,12 @@ def test_descent_is_monotone_and_pinned():
     rng = np.random.default_rng(28)
     g = random_tree(6, rng)
     target = tau_of(g, random_rho(g, rng))
-    res = ww.reconstruct_weights(
-        g, target, ww.ReconstructionConfig(max_iters=300, cost_tol=1e-12)
-    )
-    costs = [rec.cost for rec in res.log]
-    assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
-    assert res.weights.rho[res.instance.v_out] == 1.0
+    cfg = ww.ReconstructionConfig(max_iters=300, cost_tol=1e-12)
+    for fit in (ww.reconstruct_weights, ww.steepest_descent):
+        res = fit(g, target, cfg)
+        costs = [rec.cost for rec in res.log]
+        assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
+        assert res.weights.rho[res.instance.v_out] == 1.0
 
 
 def test_reconstruct_stops_without_faking_unreachable_target():
@@ -463,31 +453,17 @@ def test_reconstruct_stops_without_faking_unreachable_target():
     assert res.final_cost > 1e-3
 
 
-def test_fixed_step_rule_runs():
-    g = path_instance(3)
-    cfg = ww.ReconstructionConfig(
-        max_iters=200, cost_tol=1e-9, step_rule=ww.FixedStep(eta=0.05)
-    )
-    res = ww.reconstruct_weights(g, [1.0, 2.5, 2.5], cfg)
-    assert res.final_cost <= 1e-6 or res.status == "max_iters"
-
-
 def test_no_descent_reported(monkeypatch):
-    real = walkweights.reconstruct.occupation_gradient
+    real = walkweights.reconstruct._adjoint_gradient
 
     def sabotaged(*args, **kwargs):
-        rep = real(*args, **kwargs)
         # A tiny ascent direction defeats every Armijo trial.
-        return dataclasses.replace(rep, gradient=-1e-3 * rep.gradient)
+        return -1e-3 * real(*args, **kwargs)
 
-    monkeypatch.setattr(
-        walkweights.reconstruct, "occupation_gradient", sabotaged
-    )
-    # Only steepest descent calls occupation_gradient.
+    monkeypatch.setattr(walkweights.reconstruct, "_adjoint_gradient", sabotaged)
     g = path_instance(3)
-    cfg = ww.ReconstructionConfig(step_rule=ww.Backtracking())
     with pytest.raises(NoDescent) as info:
-        ww.reconstruct_weights(g, [1.0, 2.5, 2.5], cfg)
+        ww.steepest_descent(g, [1.0, 2.5, 2.5])
     assert info.value.result.status == "no_descent"
     assert info.value.result.log
 
@@ -497,30 +473,44 @@ def test_custom_start_point():
     g = random_tree(6, rng)
     hidden = random_rho(g, rng)
     target = tau_of(g, hidden)
-    # starting at the hidden weights converges immediately
-    res = ww.reconstruct_weights(g, target, rho0=hidden)
-    assert res.converged and len(res.log) == 1
-    with pytest.raises(ValueError):
-        ww.reconstruct_weights(g, target, rho0=np.zeros(g.n))
+    for fit in (ww.reconstruct_weights, ww.steepest_descent):
+        # starting at the hidden weights converges immediately
+        res = fit(g, target, rho0=hidden)
+        assert res.converged and len(res.log) == 1
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            rho0 = hidden.copy()
+            rho0[3] = bad
+            with pytest.raises(ValueError, match="vertex 3"):
+                fit(g, target, rho0=rho0)
 
 
-def lm_config(**kwargs):
-    return ww.ReconstructionConfig(step_rule=ww.LevenbergMarquardt(), **kwargs)
+def test_reconstruction_config_has_two_fields():
+    fields = [f.name for f in dataclasses.fields(ww.ReconstructionConfig)]
+    assert fields == ["max_iters", "cost_tol"]
+    with pytest.raises(TypeError):
+        ww.ReconstructionConfig(step_rule="levenberg_marquardt")
 
 
-def test_default_step_rule_is_levenberg_marquardt():
-    assert ww.ReconstructionConfig().step_rule == ww.LevenbergMarquardt()
+def test_reconstruction_config_rejects_negative_max_iters():
+    with pytest.raises(ValueError, match="max_iters"):
+        ww.ReconstructionConfig(max_iters=-3)
+    with pytest.raises(ValueError, match="cost_tol"):
+        ww.ReconstructionConfig(cost_tol=0.0)
+    # zero iterations is a valid budget: the log holds the start point only
+    cfg = ww.ReconstructionConfig(max_iters=0)
+    res = ww.reconstruct_weights(path_instance(3), [1.0, 2.5, 2.5], cfg)
+    assert res.status == "max_iters" and len(res.log) == 1
 
 
 def test_lm_converges_on_30_vertex_trees():
-    # LM took at most 9 iterations on this set; Backtracking reached cost
+    # LM took at most 9 iterations on this set; steepest descent reached cost
     # 1e-8 on one of the ten within 10^4.
     for seed in range(10):
         rng = np.random.default_rng(4200 + seed)
         g = random_tree(30, rng)
         target = tau_of(g, random_rho(g, rng, 0.2, 5.0))
         res = ww.reconstruct_weights(
-            g, target, lm_config(max_iters=200, cost_tol=1e-8)
+            g, target, ww.ReconstructionConfig(max_iters=200, cost_tol=1e-8)
         )
         assert res.status == "converged", (seed, res.status, res.final_cost)
 
@@ -530,7 +520,8 @@ def test_lm_cost_strictly_decreases_and_v_out_stays_pinned():
         rng = np.random.default_rng(4300 + seed)
         g = random_connected_instance(8, rng)
         target = tau_of(g, random_rho(g, rng, 0.2, 5.0))
-        res = ww.reconstruct_weights(g, target, lm_config(cost_tol=1e-14))
+        cfg = ww.ReconstructionConfig(cost_tol=1e-14)
+        res = ww.reconstruct_weights(g, target, cfg)
         costs = [rec.cost for rec in res.log]
         assert len(costs) > 2
         assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -544,10 +535,9 @@ def test_lm_stops_without_faking_unreachable_target():
     # tau(middle) = tau(v_in) on a path; the closest reachable vector is
     # [1, 2.5, 2.5], at cost 0.5.
     g = path_instance(3)
+    cfg = ww.ReconstructionConfig(max_iters=200, cost_tol=1e-10)
     try:
-        res = ww.reconstruct_weights(
-            g, [1.0, 2.0, 3.0], lm_config(max_iters=200, cost_tol=1e-10)
-        )
+        res = ww.reconstruct_weights(g, [1.0, 2.0, 3.0], cfg)
     except NoDescent as exc:
         res = exc.result
     assert res.status in ("max_iters", "no_descent")
@@ -559,7 +549,7 @@ def test_lm_start_at_hidden_weights_is_one_record():
     rng = np.random.default_rng(4400)
     g = random_tree(12, rng)
     hidden = random_rho(g, rng)
-    res = ww.reconstruct_weights(g, tau_of(g, hidden), lm_config(), rho0=hidden)
+    res = ww.reconstruct_weights(g, tau_of(g, hidden), rho0=hidden)
     assert res.converged and len(res.log) == 1
     assert np.array_equal(res.weights.rho, hidden)
 
