@@ -120,14 +120,16 @@ def _cmd_expect(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")
 
-    # The Monte Carlo bytes depend on the chunk width and on numpy's
-    # PCG64 stream, so the manifest names both.
+    # The Monte Carlo bytes depend on the chunk width, on the rule that
+    # turns a chunk's uniforms into walks and on numpy's PCG64 stream, so
+    # the manifest names all three.
     mc = args.method == "montecarlo"
     manifest = _manifest(
         "expect", g, w, method=args.method,
         seed=args.seed if mc else None,
         N=args.N if mc else None,
         chunk_size=occupation.DEFAULT_CHUNK if mc else None,
+        stream_version=occupation.STREAM_VERSION if mc else None,
     )
     if args.out is not None and args.out.endswith(".csv"):
         _emit_csv(occupation.occupation_to_csv(vec), manifest, args.out)

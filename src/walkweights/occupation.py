@@ -48,12 +48,19 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 10_000_000
 
 # Walk indices are grouped into fixed-size chunks; each chunk draws its
-# uniforms from an independent substream keyed by (seed, chunk index), with
-# one full-width block per step, so walk k always consumes the same numbers
-# no matter how chunks are scheduled across workers.  The width is part of
-# the stream: another chunk size gives other (equally valid) walks.  A step
-# costs O(count) for the draw plus O(log max degree) per active walk.
+# uniforms from an independent substream keyed by (seed, chunk index), one
+# per walk still running at each step.  A chunk's walks depend only on that
+# substream, so the output does not depend on how chunks are scheduled
+# across workers.  The chunk size is part of the stream: another size gives
+# other (equally valid) walks.  A step costs O(log max degree) per active
+# walk, draw included.
 DEFAULT_CHUNK = 16384
+
+# Version of the rule that turns a chunk's substream into walks, recorded in
+# Monte Carlo manifests.  Version 1 drew a full chunk-width block of
+# uniforms on every step and used those of the active walks; version 2
+# draws one uniform per active walk and step, in walk order.
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -100,10 +107,14 @@ class WalkTrace:
 
 
 def make_walk_trace(g: GraphInstance, vertices) -> WalkTrace:
-    """Build a WalkTrace, validating that consecutive vertices are adjacent."""
+    """Build a WalkTrace, validating that every vertex id is in range and
+    consecutive vertices are adjacent."""
     seq = tuple(int(v) for v in vertices)
     if not seq:
         raise ValueError("empty walk")
+    for k, v in enumerate(seq):
+        if not 0 <= v < g.n:
+            raise ValueError(f"walk position {k} holds vertex {v}, not in [0, {g.n})")
     for a, b in zip(seq, seq[1:]):
         if not g.adjacency[a, b]:
             raise ValueError(f"walk steps across non-edge ({a},{b})")
@@ -265,7 +276,8 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     k is found by a branchless binary search: for s = width/2, ..., 1 the
     flat offset ``at`` moves up by s when u >= cum_flat[at + s - 1].  A
     step costs O(log width) array operations, whatever n is.  Positions
-    are kept for the active walks only.
+    are kept for the active walks only, and each step draws one uniform per
+    active walk, in walk order (stream version 2).
     """
     (cum, nbr), v_in, v_out, seed, chunk_index, count, step_limit = args
     n, width = cum.shape
@@ -282,7 +294,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(step_limit):
         if active.size == 0:
             break
-        u = gen.random(count)[active]  # full width keeps per-walk substreams fixed
+        u = gen.random(active.size)
         at = pos * width
         for s, probe in probes:
             at += (u >= probe[at]) * s
@@ -311,15 +323,18 @@ def empirical_occupation(
 ) -> OccupationVector:
     """Mean trace over N independent seeded walks, with standard errors.
 
-    Results are bit-identical for any ``workers`` value: walk k's random
-    numbers depend only on (seed, k, chunk_size), and traces are integer
-    vectors accumulated exactly, so neither scheduling nor summation order
-    can perturb the output.
+    Walks run in chunks of ``chunk_size``.  Results are bit-identical for
+    any ``workers`` value: a chunk's walks depend only on (seed, chunk
+    index, chunk size) through its own substream (see ``STREAM_VERSION``),
+    and traces are integer vectors accumulated exactly, so neither
+    scheduling nor summation order can perturb the output.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if not g.out_removed_connected:
         raise Disconnected("graph minus v_out is disconnected")
     tables = _neighbour_tables(g, w)

@@ -66,6 +66,7 @@ def test_expect_fixedpoint(p3_file, tmp_path):
     assert "instance_sha256" in data["manifest"]
     assert_versions(data["manifest"])
     assert "chunk_size" not in data["manifest"]
+    assert "stream_version" not in data["manifest"]
 
 
 def test_expect_green_single_edge(tmp_path):
@@ -95,6 +96,7 @@ def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     payload = json.loads(outs[0])
     assert payload["manifest"]["seed"] == 9
     assert payload["manifest"]["chunk_size"] == DEFAULT_CHUNK
+    assert payload["manifest"]["stream_version"] == 2
     assert_versions(payload["manifest"])
     assert len(payload["stderr"]) == 3
     dev = np.abs(np.array(payload["tau"]) - np.array([1.0, 2.0, 2.0]))
