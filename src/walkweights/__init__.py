@@ -3,7 +3,7 @@
 The library computes expected visit counts three independent ways
 (Green's-function formula, fixed-point solve, seeded Monte Carlo),
 reconstructs vertex weights from target occupation times
-(``reconstruct_weights``: Levenberg-Marquardt on the log weights;
+(``reconstruct_weights``: Newton on the walkers' concave log-likelihood;
 ``steepest_descent``: the paper's projected descent),
 and decides/constructs exact solutions on paths, complete graphs, and
 pendant/twin-reducible graphs.

@@ -156,7 +156,7 @@ def _cmd_reconstruct(args) -> int:
 
     manifest = _manifest(
         "reconstruct", g, None, max_iters=args.max_iters, cost_tol=args.cost_tol,
-        step_rule="levenberg_marquardt",
+        step_rule="newton_log_likelihood",
     )
     payload = {
         "manifest": manifest,

@@ -74,9 +74,9 @@ class SupportMismatch(WalkWeightsError):
 
 
 class NoDescent(WalkWeightsError):
-    """A reconstruction found no decrease: the Levenberg-Marquardt damping
-    of ``reconstruct_weights`` passed its cap, or the line search of
-    ``steepest_descent`` underflowed.
+    """A reconstruction found no decrease: the Newton system of
+    ``reconstruct_weights`` turned singular, or the line search of either
+    ``reconstruct_weights`` or ``steepest_descent`` underflowed.
 
     Carries the partial result in ``result`` when raised by the solver.
     """

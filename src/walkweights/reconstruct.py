@@ -1,16 +1,16 @@
 """Weight reconstruction from target occupation times.
 
 The cost is the squared l2 gap between the target tau-hat and the model's
-expected occupation vector, with rho(v_out) pinned at 1.  Both derivatives
-of it come from the pinned fixed-point system A r = e_out that the cost
-already solves, reusing A's LU factors:
-
-* the full Jacobian dr/drho = -A^{-1} D, one multi-right-hand-side
-  back-solve (``_pinned_jacobian``).  It drives ``reconstruct_weights``:
-  Levenberg-Marquardt, damped Gauss-Newton steps on the log weights;
-* the cost gradient by the adjoint, one transposed back-solve and a few
-  adjacency mat-vecs (``occupation_gradient``).  It drives
-  ``steepest_descent``, the paper's projected descent on the weights.
+expected occupation vector, with rho(v_out) pinned at 1; both loops stop on
+it, measured by the pinned fixed-point solve A r = e_out.  With x = log rho,
+walks with mean occupation vector r have the concave log-likelihood
+L(x) = a . x - sum_{v != v_out} r(v) log sum_{z~v} e^{x_z}, a = r - e_in
+(each step is a conditional-logit choice), whose gradient vanishes exactly
+where tau(rho) = r.  ``reconstruct_weights`` runs damped Newton on -L, whose
+derivatives need no solve with A.  ``steepest_descent``, the paper's
+projected descent on the weights, takes the cost gradient by the adjoint:
+one transposed back-solve with A's LU factors and a few adjacency mat-vecs
+(``occupation_gradient``).
 
 The paper's Green's-function chain (weight jacobians, the
 normalized-Laplacian derivative, the null-eigenvector derivative, and the
@@ -60,29 +60,20 @@ __all__ = [
     "expertise_correlation",
 ]
 
-# Levenberg-Marquardt on x = log rho.  The damping starts at _LM_DAMPING0,
-# is divided by _LM_RELAX after an accepted trial (never below
-# _LM_MIN_DAMPING, so it cannot underflow to 0 on a long run of accepted
-# steps) and multiplied by _LM_STIFFEN after a rejected one; past
-# _LM_MAX_DAMPING the step is too short to move any weight, which is a
-# stall.  No log weight moves by more than _LM_MAX_LOG_STEP in one trial,
-# so no weight changes by more than a factor e and exp cannot overflow.
-_LM_DAMPING0 = 1e-3
-_LM_RELAX = 3.0
-_LM_STIFFEN = 2.0
-_LM_MIN_DAMPING = 1e-30
-_LM_MAX_DAMPING = 1e16
-_LM_MAX_LOG_STEP = 1.0
+# Damped Newton on -L moves no log weight by more than _NEWTON_MAX_LOG_STEP
+# per iteration.  Below a Newton decrement of _NEWTON_FULL_STEP * |L|, L's
+# rounding makes Armijo's test backtrack to a crawl; the full step is taken.
+_NEWTON_MAX_LOG_STEP = 1.0
+_NEWTON_FULL_STEP = 1e-8
 
-# The paper's projected steepest descent.  A step with no usable
-# Barzilai-Borwein estimate starts at most at _SD_ETA0; each Armijo
-# rejection (sufficient decrease _SD_ARMIJO_C) multiplies it by _SD_SHRINK,
-# and below _SD_MIN_ETA the line search has underflowed, which is a stall.
-# Every step is projected onto [_SD_FLOOR, inf).
+# Both loops backtrack by _SHRINK to Armijo's sufficient decrease _ARMIJO_C;
+# below _MIN_STEP the line search has underflowed, which is a stall.
+# Steepest descent starts a step with no usable Barzilai-Borwein estimate at
+# most at _SD_ETA0 and projects every step onto [_SD_FLOOR, inf).
+_ARMIJO_C = 1e-4
+_SHRINK = 0.5
+_MIN_STEP = 1e-18
 _SD_ETA0 = 0.1
-_SD_SHRINK = 0.5
-_SD_ARMIJO_C = 1e-4
-_SD_MIN_ETA = 1e-18
 _SD_FLOOR = 1e-8
 
 
@@ -140,10 +131,10 @@ class GradientReport:
 class IterationRecord:
     """Cost at the start of an iteration and the step that left it.
 
-    ``step`` is the accepted damping mu in ``reconstruct_weights``
-    (smaller means closer to a full Gauss-Newton step) and the accepted
-    step length eta in ``steepest_descent``.  The record of the point where
-    the run stops carries 0.0.
+    ``step`` is the accepted share of the Newton step in
+    ``reconstruct_weights`` (1.0 is the full step) and the accepted step
+    length eta in ``steepest_descent``.  The record of the point where the
+    run stops carries 0.0.
     """
 
     iteration: int
@@ -300,7 +291,8 @@ def _adjoint_gradient(
     The v_out entry is meaningless (rho(v_out) is pinned).
     """
     adj, out = g.adjacency, g.v_out
-    lam = scipy.linalg.lu_solve(lu, 2.0 * resid, trans=1)
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu[0],))
+    lam = getrs(*lu, 2.0 * resid, trans=1)[0]
     s = adj @ rho
     q = r / s
     q[out] = 0.0
@@ -308,28 +300,6 @@ def _adjoint_gradient(
     lam_rho[out] = 0.0
     c = adj @ lam_rho
     return -(lam * (adj @ q) - adj @ (q * c / s))
-
-
-def _pinned_jacobian(
-    g: GraphInstance, rho: np.ndarray, r: np.ndarray, lu
-) -> np.ndarray:
-    """dr/drho, an (n, n) matrix, at the solution r of A r = e_out.
-
-    Differentiating A r = e_out gives J = -A^{-1} D with D's column x equal
-    to (dA/drho(x)) r.  With s = adj @ rho and q = r / s (q(v_out) = 0),
-    (A r)(v) = rho(v) (adj @ q)(v) - r(v) off v_out, plus the constant
-    r(v_out) at v_in, so
-    D = diag(adj @ q) - diag(rho) adj diag(q / s) adj, and D's v_out row is
-    zero because that row of A is constant.  Column v_out is meaningless
-    (rho(v_out) is pinned); row v_out is zero up to rounding.
-    """
-    adj, out = g.adjacency, g.v_out
-    s = adj @ rho
-    q = r / s
-    q[out] = 0.0
-    D = np.diag(adj @ q) - rho[:, None] * (adj @ ((q / s)[:, None] * adj))
-    D[out] = 0.0
-    return -scipy.linalg.lu_solve(lu, D)
 
 
 def occupation_gradient(
@@ -425,7 +395,7 @@ def restrict_support(
     if g.v_in not in support or g.v_out not in support:
         raise SupportMismatch("supp(tau_hat) must contain both v_in and v_out")
     try:
-        sub = _induced_subgraph(g, support)
+        sub = g if len(support) == g.n else _induced_subgraph(g, support)
     except Disconnected as exc:
         raise SupportMismatch(f"supp(tau_hat) is disconnected: {exc}") from exc
     if not sub.out_removed_connected:
@@ -492,64 +462,93 @@ def _result(
     )
 
 
+def _likelihood_derivatives(adj, to_out, r, a, rho):
+    """Gradient and Hessian of -L in the free vertices' log weights, at
+    their weights rho (complex for the complex-step test).  ``adj`` is their
+    adjacency block, ``to_out`` their edges to v_out (of weight 1), ``r``
+    and ``a`` their departures and arrivals.  With S = adj @ rho + to_out,
+    q = r / S and B = diag(rho) adj: grad = rho * (adj @ q) - a and
+    -H = diag(rho * (adj @ q)) - B diag(q / S) B^T."""
+    s = adj @ rho + to_out
+    q = r / s
+    p = rho * (adj @ q)
+    bt = adj * rho
+    return p - a, np.diag(p) - bt.T @ ((q / s)[:, None] * bt)
+
+
 def reconstruct_weights(
     g: GraphInstance,
     tau_hat,
     cfg: ReconstructionConfig | None = None,
     rho0=None,
 ) -> ReconstructionResult:
-    """Fit vertex weights to the target occupation times by
-    Levenberg-Marquardt on x = log rho, from a uniform start.
+    """Fit vertex weights to the target occupation times by damped Newton
+    on -L over x = log rho, from a uniform start.
 
     Restricts to supp(tau_hat) first and keeps rho(v_out) pinned at exactly
-    1; working on log weights keeps the others positive without a floor.
-    Each iteration solves (Jx^T Jx + mu I) dx = -Jx^T resid, where
-    Jx = J[:, free] * rho[free] is the pinned system's Jacobian in log
-    weights, and shortens dx to _LM_MAX_LOG_STEP in the max norm.  The
-    damping is the identity and not Marquardt's diag(Jx^T Jx): log weights
-    are already scale free, and column scaling took more iterations on
-    random trees.  A trial is accepted only on a strict cost decrease; a
-    singular or non-finite trial counts as a rejection.  When the damping
-    passes its cap, NoDescent carries the partial result.
+    1.  Each Newton step is capped, then halved until -L meets Armijo's test
+    and the pinned forward solve at the trial succeeds.  A target off the
+    trace hull has no maximiser of L: weights run to 0 or infinity and the
+    run ends at ``max_iters`` or with NoDescent, which carries the partial
+    result.  On the hull's boundary the cost still tends to 0.
 
     ``rho0`` overrides the uniform start (indexed over the *support*
-    vertices; zero, negative or non-finite entries raise ValueError);
-    whether distinct starts reach distinct minimizers is an open question,
-    so multi-start runs are the caller's experiment.
+    vertices; zero, negative or non-finite entries raise ValueError).  All
+    starts reach one transition matrix: along a segment of L's maximisers,
+    a convex set, every log-sum-exp term is affine, so no softmax row moves.
     """
     cfg = cfg or ReconstructionConfig()
     sub, tau, support, rho = _start(g, tau_hat, rho0)
-    free = [v for v in range(sub.n) if v != sub.v_out]
-    eye = np.eye(len(free))
+    free = np.flatnonzero(np.arange(sub.n) != sub.v_out)
+    adj, to_out = sub.adjacency[free][:, free], sub.adjacency[free, sub.v_out]
+    r = tau[free]
+    a = r - (free == sub.v_in)
+    # -L is linear along u, a bipartite graph's class opposite v_out; with no
+    # gradient part along u and -H + u u^T regular, no step moves along u.
+    u = np.zeros(len(free))
+    if sub.bipartite:
+        u[sub.bipartition[free] < 0] = 1.0
+        u /= np.sqrt(u.sum())
     log: list[IterationRecord] = []
-    r, lu, resid = _pinned_residual(sub, rho, tau)
+
+    def neg_log_likelihood(x):
+        rho_free = np.exp(x)
+        return float(r @ np.log(adj @ rho_free + to_out) - a @ x), rho_free
+
+    x = np.log(rho[free])
+    f = neg_log_likelihood(x)[0]
+    resid = _pinned_residual(sub, rho, tau)[2]
     theta = float(resid @ resid)
-    mu = _LM_DAMPING0
 
     for it in range(cfg.max_iters):
         if theta <= cfg.cost_tol:
             return _result(sub, support, rho, log, it, theta, "converged")
-        jx = _pinned_jacobian(sub, rho, r, lu)[:, free] * rho[free]
-        hess = jx.T @ jx
-        grad = jx.T @ resid
+        grad, hess = _likelihood_derivatives(adj, to_out, r, a, rho[free])
+        grad -= u * (u @ grad)
+        (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (hess,))
+        dx, info = gesv(hess + np.outer(u, u), -grad)[2:]
+        scale = _NEWTON_MAX_LOG_STEP / max(_NEWTON_MAX_LOG_STEP, np.abs(dx).max())
+        dx *= scale
+        slope = float(grad @ dx)
+        full = -slope < _NEWTON_FULL_STEP * abs(f)
+        t = 0.0 if info or not np.isfinite(slope) else 1.0
         while True:
-            if mu > _LM_MAX_DAMPING:
+            if t < _MIN_STEP:
                 raise NoDescent(
-                    f"damping passed {_LM_MAX_DAMPING:.0e} at iteration {it} "
-                    f"(cost {theta:.3e})",
+                    f"no Newton step at iteration {it} (cost {theta:.3e})",
                     result=_result(sub, support, rho, log, it, theta, "no_descent"),
                 )
-            dx = np.linalg.solve(hess + mu * eye, -grad)
-            dx *= _LM_MAX_LOG_STEP / max(_LM_MAX_LOG_STEP, float(np.abs(dx).max()))
-            cand = rho.copy()
-            cand[free] = rho[free] * np.exp(dx)
-            trial, state = _trial(sub, cand, tau)
-            if trial < theta:
-                break
-            mu *= _LM_STIFFEN
-        log.append(IterationRecord(it, theta, mu))
-        rho, (r, lu, resid), theta = cand, state, trial
-        mu = max(mu / _LM_RELAX, _LM_MIN_DAMPING)
+            cand_x = x + t * dx
+            cand_f, cand_free = neg_log_likelihood(cand_x)
+            if np.isfinite(cand_f) and (full or cand_f <= f + _ARMIJO_C * t * slope):
+                cand = rho.copy()
+                cand[free] = cand_free
+                trial, state = _trial(sub, cand, tau)
+                if state is not None:
+                    break
+            t *= _SHRINK
+        log.append(IterationRecord(it, theta, t * scale))
+        x, f, rho, theta = cand_x, cand_f, cand, trial
 
     status = "converged" if theta <= cfg.cost_tol else "max_iters"
     return _result(sub, support, rho, log, cfg.max_iters, theta, status)
@@ -599,10 +598,10 @@ def steepest_descent(
                 bb2 = sy / float(y @ y)
                 eta = min(bb2 if bb2 < 0.8 * bb1 else bb1, 1e8)
         if eta is None:
-            eta = _SD_ETA0 if eta_prev is None else min(_SD_ETA0, eta_prev / _SD_SHRINK)
+            eta = _SD_ETA0 if eta_prev is None else min(_SD_ETA0, eta_prev / _SHRINK)
         prev_free, prev_grad = rho[free], grad
         while True:
-            if eta < _SD_MIN_ETA:
+            if eta < _MIN_STEP:
                 raise NoDescent(
                     f"line search underflowed at iteration {it} (cost {theta:.3e})",
                     result=_result(sub, support, rho, log, it, theta, "no_descent"),
@@ -612,9 +611,9 @@ def steepest_descent(
             trial, state = _trial(sub, cand, tau)
             # Strict decrease, so that a step too short to move any weight
             # surfaces as NoDescent instead of treadmilling.
-            if trial < theta - _SD_ARMIJO_C * eta * gg:
+            if trial < theta - _ARMIJO_C * eta * gg:
                 break
-            eta *= _SD_SHRINK
+            eta *= _SHRINK
         log.append(IterationRecord(it, theta, eta))
         rho, (r, lu, resid), theta = cand, state, trial
         eta_prev = eta

@@ -139,11 +139,11 @@ def test_reconstruct_p3(p3_file, tmp_path):
     assert data["status"] == "converged"
     assert np.array(data["rho"]) == pytest.approx([1.0, 1.0, 1.0], abs=1e-6)
     assert_versions(data["manifest"])
-    assert data["manifest"]["step_rule"] == "levenberg_marquardt"
+    assert data["manifest"]["step_rule"] == "newton_log_likelihood"
     lines = open(iters).read().splitlines()
     header = json.loads(lines[0][len("# manifest: "):])
     assert_versions(header)
-    assert header["step_rule"] == "levenberg_marquardt"
+    assert header["step_rule"] == "newton_log_likelihood"
     assert lines[1] == "iter,cost,step"
 
 

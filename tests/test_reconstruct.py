@@ -1,5 +1,5 @@
-"""Cost, gradient and Jacobian routes vs the complex-step oracle, and the
-two reconstruction loops."""
+"""Cost, gradient and likelihood-Hessian routes vs the complex-step oracle,
+and the two reconstruction loops."""
 
 import dataclasses
 
@@ -19,12 +19,7 @@ from synth import (
     tau_of,
 )
 from walkweights.errors import InvalidTarget, NoDescent, SupportMismatch, ZeroVariance
-from walkweights.occupation import _pinned_fixed_point
-from walkweights.reconstruct import (
-    _adjoint_gradient,
-    _complex_step_jacobian,
-    _pinned_jacobian,
-)
+from walkweights.reconstruct import _likelihood_derivatives
 
 
 def single_edge():
@@ -227,42 +222,42 @@ def test_adjoint_matches_finite_differences(case):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(gradient_cases())
-def test_pinned_jacobian_matches_complex_step(case):
-    g, rho, _ = case
-    r, lu = _pinned_fixed_point(g, rho)
-    J = _pinned_jacobian(g, rho, r, lu)
-    free = [v for v in range(g.n) if v != g.v_out]
-    exact = _complex_step_jacobian(g, rho)
-    # Both sides round in solves with A; with weights log-uniform in
-    # [1e-2, 1e2] the gap was up to 8.9e-8 relative (3000 random trees and
-    # graphs, a third of them with every weight at 1e-2 or 1e2).
-    assert np.abs(J[:, free] - exact).max() <= 1e-6 * max(1.0, np.abs(J).max())
+def likelihood_terms(g, tau):
+    """The free vertices, and the adjacency block, edges to v_out,
+    departures and arrivals over them that ``reconstruct_weights`` uses."""
+    free = np.flatnonzero(np.arange(g.n) != g.v_out)
+    r = np.asarray(tau, dtype=float)[free]
+    adj, to_out = g.adjacency[free][:, free], g.adjacency[free, g.v_out]
+    return free, (adj, to_out, r, r - (free == g.v_in))
 
 
 @settings(max_examples=60, deadline=None)
 @given(gradient_cases())
-def test_jacobian_transpose_residual_is_adjoint_gradient(case):
+def test_newton_hessian_matches_complex_step(case):
+    # The gradient of -L is rational in rho = exp(x), so a complex step in
+    # x differentiates it exactly to rounding.
     g, rho, tau_hat = case
-    r, lu = _pinned_fixed_point(g, rho)
-    resid = r - tau_hat
-    resid[g.v_out] = 0.0
-    free = [v for v in range(g.n) if v != g.v_out]
-    via_jacobian = 2.0 * _pinned_jacobian(g, rho, r, lu)[:, free].T @ resid
-    adjoint = _adjoint_gradient(g, rho, r, lu, resid)[free]
-    # Same LU, other contraction order: up to 6.0e-10 relative on the 3000
-    # cases above.
-    assert np.abs(via_jacobian - adjoint).max() <= 1e-7 * max(
-        1.0, np.abs(adjoint).max()
-    )
+    free, terms = likelihood_terms(g, tau_hat)
+    x = np.log(rho[free])
+    hess = _likelihood_derivatives(*terms, rho[free])[1]
+    exact = np.empty_like(hess)
+    for k in range(len(x)):
+        z = x.astype(complex)
+        z[k] += 1e-30j
+        exact[:, k] = _likelihood_derivatives(*terms, np.exp(z))[0].imag / 1e-30
+    # Neither side solves a system: up to 2.2e-12 relative on 3000 random
+    # trees and graphs with weights in [1e-2, 1e2].
+    assert np.abs(hess - exact).max() <= 1e-9 * max(1.0, np.abs(exact).max())
 
 
 def test_jacobian_rank_is_hull_dimension():
     # The local half of the paper's existence conjecture: at generic
     # weights the forward map is a submersion onto the affine span of the
-    # trace hull.  Every connected graph with n <= 5 and every (v_in, v_out)
-    # pair whose v_out leaves the rest connected: 428 cases.
+    # trace hull.  In log weights its Jacobian is -A^{-1} D diag(rho), and
+    # D diag(rho) over the free vertices (D's v_out row is zero) is the
+    # Hessian -H of -L at r = tau(rho), so the two have one rank.  Every
+    # connected graph with n <= 5 and every (v_in, v_out) pair whose v_out
+    # leaves the rest connected: 428 cases.
     nx = pytest.importorskip("networkx")
     from networkx.generators.atlas import graph_atlas_g
 
@@ -278,9 +273,9 @@ def test_jacobian_rank_is_hull_dimension():
             for v_in in set(G) - {v_out}:
                 g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
                 rho = random_rho(g, rng, 0.5, 2.0)
-                r, lu = _pinned_fixed_point(g, rho)
-                free = [v for v in range(n) if v != v_out]
-                rank = np.linalg.matrix_rank(_pinned_jacobian(g, rho, r, lu)[:, free])
+                free, terms = likelihood_terms(g, tau_of(g, rho))
+                hess = _likelihood_derivatives(*terms, rho[free])[1]
+                rank = np.linalg.matrix_rank(hess)
                 assert rank == ww.hull_dimension(g), (sorted(G.edges), v_in, v_out)
                 checked += 1
     assert checked == 428
@@ -502,9 +497,9 @@ def test_reconstruction_config_rejects_negative_max_iters():
     assert res.status == "max_iters" and len(res.log) == 1
 
 
-def test_lm_converges_on_30_vertex_trees():
-    # LM took at most 9 iterations on this set; steepest descent reached cost
-    # 1e-8 on one of the ten within 10^4.
+def test_newton_converges_on_30_vertex_trees():
+    # Newton took at most 6 iterations on this set; steepest descent reached
+    # cost 1e-8 on one of the ten within 10^4.
     for seed in range(10):
         rng = np.random.default_rng(4200 + seed)
         g = random_tree(30, rng)
@@ -515,7 +510,24 @@ def test_lm_converges_on_30_vertex_trees():
         assert res.status == "converged", (seed, res.status, res.final_cost)
 
 
-def test_lm_cost_strictly_decreases_and_v_out_stays_pinned():
+def test_newton_on_wide_60_vertex_tree():
+    # Levenberg-Marquardt crawled here for 2934 iterations; Newton takes 9.
+    rng = np.random.default_rng(505)
+    g = random_tree(60, rng)
+    target = tau_of(g, random_rho(g, rng, 0.02, 50.0))
+    res = ww.reconstruct_weights(g, target)
+    assert res.status == "converged"
+    assert len(res.log) - 1 <= 20
+    # Near the optimum the Newton decrement is lost in L's rounding, and
+    # Armijo's test would backtrack every step to a crawl; the full step is
+    # taken there instead.
+    cfg = ww.ReconstructionConfig(max_iters=20, cost_tol=1e-30)
+    steps = [rec.step for rec in ww.reconstruct_weights(g, target, cfg).log[:-1]
+             if rec.cost < 1e-10]
+    assert steps and all(step == 1.0 for step in steps)
+
+
+def test_newton_cost_strictly_decreases_and_v_out_stays_pinned():
     for seed in range(5):
         rng = np.random.default_rng(4300 + seed)
         g = random_connected_instance(8, rng)
@@ -526,32 +538,62 @@ def test_lm_cost_strictly_decreases_and_v_out_stays_pinned():
         assert len(costs) > 2
         assert all(b < a for a, b in zip(costs, costs[1:]))
         assert res.weights.rho[res.instance.v_out] == 1.0
-        # the step column holds the accepted damping; the last record 0.0
-        assert all(rec.step > 0 for rec in res.log[:-1])
+        # the step column holds the accepted share of the Newton step; the
+        # last record 0.0
+        assert all(0 < rec.step <= 1 for rec in res.log[:-1])
         assert res.log[-1].step == 0.0
 
 
-def test_lm_stops_without_faking_unreachable_target():
-    # tau(middle) = tau(v_in) on a path; the closest reachable vector is
-    # [1, 2.5, 2.5], at cost 0.5.
+@pytest.mark.filterwarnings("error")
+def test_newton_stops_without_faking_unreachable_target():
+    # tau(middle) = tau(v_in) on a path, so L has no maximiser and the
+    # weights run off; the run must end cleanly, with no numpy warning.  The
+    # cost cannot fall below (tau(2) - tau(1))^2 / 2, the squared distance to
+    # that line.  The second target is off the line only along the class
+    # indicator of vertex 1, where -L is linear: its weight must not drift.
     g = path_instance(3)
-    cfg = ww.ReconstructionConfig(max_iters=200, cost_tol=1e-10)
-    try:
-        res = ww.reconstruct_weights(g, [1.0, 2.0, 3.0], cfg)
-    except NoDescent as exc:
-        res = exc.result
-    assert res.status in ("max_iters", "no_descent")
-    assert res.final_cost > 1e-3
-    assert res.final_cost == pytest.approx(0.5, rel=1e-6)
+    for target, max_iters in (
+        ([1.0, 2.0, 3.0], 30), ([1.0, 2.0, 3.0], 10_000), ([1.0, 2.5, 2.6], 200)
+    ):
+        cfg = ww.ReconstructionConfig(max_iters=max_iters, cost_tol=1e-10)
+        try:
+            res = ww.reconstruct_weights(g, target, cfg)
+        except NoDescent as exc:
+            res = exc.result
+        assert res.status in ("max_iters", "no_descent")
+        assert res.final_cost >= (target[2] - target[1]) ** 2 / 2 * (1 - 1e-12)
+        assert res.weights.rho[1] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_lm_start_at_hidden_weights_is_one_record():
+def test_newton_start_at_hidden_weights_is_one_record():
     rng = np.random.default_rng(4400)
     g = random_tree(12, rng)
     hidden = random_rho(g, rng)
     res = ww.reconstruct_weights(g, tau_of(g, hidden), rho0=hidden)
     assert res.converged and len(res.log) == 1
     assert np.array_equal(res.weights.rho, hidden)
+
+
+def test_newton_multi_start_reaches_one_walk():
+    # L is concave, so every start reaches the same transition matrix; on a
+    # bipartite graph (the tree) the weights keep the start's scaling of
+    # the class opposite v_out.
+    rng = np.random.default_rng(4500)
+    cfg = ww.ReconstructionConfig(cost_tol=1e-20)
+    for g in (random_tree(9, rng), random_connected_instance(9, rng)):
+        hidden = random_rho(g, rng, 0.2, 5.0)
+        target = tau_of(g, hidden)
+        P_true = ww.transition_matrix(g, ww.derived_weights(g, hidden))
+        for _ in range(5):
+            rho0 = 10.0 ** rng.uniform(-1.5, 1.5, g.n)
+            res = ww.reconstruct_weights(g, target, cfg, rho0=rho0)
+            assert res.converged
+            P = ww.transition_matrix(res.instance, res.weights)
+            assert np.abs(P - P_true).max() <= 1e-9
+            if g.bipartite:
+                odd = g.bipartition < 0
+                kept = np.log(rho0[odd] / rho0[g.v_out]).sum()
+                assert np.log(res.weights.rho[odd]).sum() == pytest.approx(kept, abs=1e-9)
 
 
 # -- expertise correlation ------------------------------------------------------------
