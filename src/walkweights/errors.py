@@ -75,7 +75,8 @@ class SupportMismatch(WalkWeightsError):
 
 class NoDescent(WalkWeightsError):
     """A reconstruction found no decrease: the Newton system of
-    ``reconstruct_weights`` turned singular, or the line search of either
+    ``reconstruct_weights`` turned singular or its full step near L's
+    maximum left the cost no lower, or the line search of either
     ``reconstruct_weights`` or ``steepest_descent`` underflowed.
 
     Carries the partial result in ``result`` when raised by the solver.

@@ -21,11 +21,10 @@ tau(v_in) >= 1 (the start counts as a visit).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import Disconnected, InvalidTarget, SingularSystem, StepLimitExceeded
 from .graph_core import GraphInstance, WeightAssignment, transition_matrix
@@ -349,6 +348,8 @@ def empirical_occupation(
     if workers == 1 or len(tasks) == 1:
         results = [_simulate_chunk(t) for t in tasks]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=min(workers, len(tasks))) as pool:
             results = pool.map(_simulate_chunk, tasks)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import (
     Disconnected,
@@ -487,10 +487,16 @@ def reconstruct_weights(
 
     Restricts to supp(tau_hat) first and keeps rho(v_out) pinned at exactly
     1.  Each Newton step is capped, then halved until -L meets Armijo's test
-    and the pinned forward solve at the trial succeeds.  A target off the
-    trace hull has no maximiser of L: weights run to 0 or infinity and the
-    run ends at ``max_iters`` or with NoDescent, which carries the partial
-    result.  On the hull's boundary the cost still tends to 0.
+    and the pinned forward solve at the trial succeeds; once the Newton
+    decrement is below ``_NEWTON_FULL_STEP * |L|`` the full step is taken.
+    A target off the trace hull has no maximiser of L: weights run to 0 or
+    infinity, or L restricted to the gauge complement peaks at a point that
+    misses the target, and the run ends at ``max_iters`` or with NoDescent,
+    which carries the partial result.  NoDescent is also raised when a full
+    step leaves the cost no lower: L is at its maximum to rounding, and the
+    cost there is the run's floor, whether the target was off the hull or
+    ``cost_tol`` lies below the forward solve's rounding.  On the hull's
+    boundary the cost still tends to 0.
 
     ``rho0`` overrides the uniform start (indexed over the *support*
     vertices; zero, negative or non-finite entries raise ValueError).  All
@@ -547,6 +553,12 @@ def reconstruct_weights(
                 if state is not None:
                     break
             t *= _SHRINK
+        if full and trial >= theta:
+            raise NoDescent(
+                f"full Newton step did not lower the cost at iteration {it} "
+                f"(cost {theta:.3e})",
+                result=_result(sub, support, rho, log, it, theta, "no_descent"),
+            )
         log.append(IterationRecord(it, theta, t * scale))
         x, f, rho, theta = cand_x, cand_f, cand, trial
 

@@ -14,6 +14,9 @@ trace hull is the image of the unit v_in-v_out flows on the arcs a proper
 walk can use.  Every such arc lies on some proper walk, so the relative
 interior of the hull is the image of the strictly positive flows
 (Rockafellar, *Convex Analysis*, Thms 6.3 and 6.6).
+
+The LP solver, ``scipy.optimize.linprog``, is imported on the first
+membership test, so importing this module does not load scipy.optimize.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linprog
+import scipy
 
 from .errors import CapTooSmall, Irreducible, NotInPsi, VerificationError
 from .graph_core import (
@@ -127,6 +129,13 @@ def hull_dimension(g: GraphInstance) -> int:
     keep = np.arange(g.n) != g.v_out
     circulations = scipy.linalg.null_space(head[keep] - tail[keep])
     return int(np.linalg.matrix_rank(head @ circulations))
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import (
     DimensionMismatch,

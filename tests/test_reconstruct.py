@@ -520,10 +520,15 @@ def test_newton_on_wide_60_vertex_tree():
     assert len(res.log) - 1 <= 20
     # Near the optimum the Newton decrement is lost in L's rounding, and
     # Armijo's test would backtrack every step to a crawl; the full step is
-    # taken there instead.
+    # taken there instead.  Below the forward solve's rounding a full step no
+    # longer lowers the cost, and the run stops there.
     cfg = ww.ReconstructionConfig(max_iters=20, cost_tol=1e-30)
-    steps = [rec.step for rec in ww.reconstruct_weights(g, target, cfg).log[:-1]
-             if rec.cost < 1e-10]
+    with pytest.raises(NoDescent) as stall:
+        ww.reconstruct_weights(g, target, cfg)
+    log = stall.value.result.log
+    assert stall.value.result.status == "no_descent"
+    assert len(log) - 1 <= 20 and log[-1].cost < 1e-10
+    steps = [rec.step for rec in log[:-1] if rec.cost < 1e-10]
     assert steps and all(step == 1.0 for step in steps)
 
 
@@ -563,6 +568,17 @@ def test_newton_stops_without_faking_unreachable_target():
         assert res.status in ("max_iters", "no_descent")
         assert res.final_cost >= (target[2] - target[1]) ** 2 / 2 * (1 - 1e-12)
         assert res.weights.rho[1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_newton_stall_ends_off_span_target_early():
+    # L restricted to the gauge complement peaks at a point that misses
+    # this target; once there, full steps leave the cost where it is and the
+    # run stops instead of spending its whole budget.
+    with pytest.raises(NoDescent) as stall:
+        ww.reconstruct_weights(path_instance(3), [1.0, 2.5, 2.6])
+    res = stall.value.result
+    assert res.status == "no_descent" and len(res.log) <= 10
+    assert res.final_cost >= 0.1 ** 2 / 2
 
 
 def test_newton_start_at_hidden_weights_is_one_record():
