@@ -1,13 +1,12 @@
 """Wall time of each ``walkweights`` CLI command, start-up included.
 
-    python scripts/cli_startup.py [--src DIR] [--runs 5] [--out FILE]
+    python scripts/cli_startup.py [--src DIR] > table.json
 
 Every subcommand runs on a committed instance in a fresh Python process,
-``--runs`` times, the commands taking turns so that drift on a shared box
-spreads over all of them.  The script prints (or writes to ``--out``) one
-JSON object: per command its arguments, the median and all wall times of
-the process, and the scipy subpackages loaded when the command
-returned.  The ``import`` row imports ``walkweights.cli`` and runs nothing.
+RUNS times, the commands taking turns so that drift on a shared box
+spreads over all of them.  The script prints one JSON object: per command
+its arguments, the median and all wall times of the process, and the scipy
+subpackages loaded when the command returned.  The ``import`` row imports ``walkweights.cli`` and runs nothing.
 
 ``--src`` is the source tree ``walkweights`` is imported from (default: this
 checkout's ``src``), so one script can time two checkouts.  BLAS is pinned
@@ -31,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
+RUNS = 5
 THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -90,11 +90,7 @@ def run(argv: list[str], env: dict, loaded_file: Path) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
     env.update({var: "1" for var in THREAD_VARS})
@@ -108,7 +104,7 @@ def main(argv=None) -> int:
         cmds = commands(tmp)
         walls: dict[str, list[float]] = {label: [] for label in cmds}
         table = {}
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for label, cmd in cmds.items():
                 walls[label].append(run(cmd, env, loaded_file))
                 table[label] = {
@@ -123,17 +119,10 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "blas_threads": 1,
-        "runs": args.runs,
+        "runs": RUNS,
         "commands": table,
     }
-    text = json.dumps(report, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
-    for label, row in table.items():
-        print(f"{label:<18} {row['wall_s_median']:7.3f} s  scipy: "
-              f"{', '.join(row['scipy_loaded']) or '-'}", file=sys.stderr)
+    print(json.dumps(report, indent=1))
     return 0
 
 

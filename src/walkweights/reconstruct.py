@@ -493,10 +493,10 @@ def reconstruct_weights(
     infinity, or L restricted to the gauge complement peaks at a point that
     misses the target, and the run ends at ``max_iters`` or with NoDescent,
     which carries the partial result.  NoDescent is also raised when a full
-    step leaves the cost no lower: L is at its maximum to rounding, and the
-    cost there is the run's floor, whether the target was off the hull or
-    ``cost_tol`` lies below the forward solve's rounding.  On the hull's
-    boundary the cost still tends to 0.
+    step, taken without backtracking, leaves the cost no lower: L is at its
+    maximum to rounding, and the cost there is the run's floor, whether the
+    target was off the hull or ``cost_tol`` lies below the forward solve's
+    rounding.  On the hull's boundary the cost still tends to 0.
 
     ``rho0`` overrides the uniform start (indexed over the *support*
     vertices; zero, negative or non-finite entries raise ValueError).  All
@@ -553,7 +553,7 @@ def reconstruct_weights(
                 if state is not None:
                     break
             t *= _SHRINK
-        if full and trial >= theta:
+        if full and t == 1.0 and trial >= theta:
             raise NoDescent(
                 f"full Newton step did not lower the cost at iteration {it} "
                 f"(cost {theta:.3e})",

@@ -581,6 +581,17 @@ def test_newton_stall_ends_off_span_target_early():
     assert res.final_cost >= 0.1 ** 2 / 2
 
 
+def test_newton_boundary_target_still_converges():
+    # [1, 1, 1] on P3 lies on the hull's boundary: the last weight runs to 0
+    # under capped steps that the stall stop must not end, and the cost goes
+    # to 0 however small cost_tol is.
+    for cost_tol in (1e-8, 1e-20):
+        cfg = ww.ReconstructionConfig(cost_tol=cost_tol)
+        res = ww.reconstruct_weights(path_instance(3), [1.0, 1.0, 1.0], cfg)
+        assert res.status == "converged", (cost_tol, res.final_cost)
+        assert res.final_cost <= cost_tol and res.weights.rho[2] < 1e-4
+
+
 def test_newton_start_at_hidden_weights_is_one_record():
     rng = np.random.default_rng(4400)
     g = random_tree(12, rng)
