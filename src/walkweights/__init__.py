@@ -60,8 +60,6 @@ from .solvability import (
 )
 from .spectral_green import (
     SpectralData,
-    eigendecompose,
-    greens_functions,
     pseudoinverse_derivative,
     spectral_data,
 )

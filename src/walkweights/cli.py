@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__, occupation, reconstruct, solvability
 from .errors import Irreducible, NoDescent, NotInPsi, WalkWeightsError
-from .graph_core import instance_to_dict, load_instance
+from .graph_core import derived_weights, instance_to_dict, load_instance
 
 __all__ = ["main"]
 
@@ -215,16 +215,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .graph_core import derived_weights
-    from .occupation import expected_occupation_fixed_point
-
     g, _ = load_instance(args.instance)
     rng = np.random.default_rng(args.seed)
     rho = rng.uniform(0.2, 5.0, g.n)
     rho[g.v_out] = 1.0
     hidden = rng.uniform(0.2, 5.0, g.n)
     hidden[g.v_out] = 1.0
-    tau_hat = expected_occupation_fixed_point(g, derived_weights(g, hidden)).values
+    tau_hat = occupation.expected_occupation_fixed_point(g, derived_weights(g, hidden)).values
 
     w = derived_weights(g, rho)
     exact = reconstruct.complex_step_gradient(g, rho, tau_hat)

@@ -62,9 +62,6 @@ class GraphInstance:
     bipartition: np.ndarray | None
     distances: np.ndarray
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
 
 @dataclass(frozen=True)
 class WeightAssignment:
@@ -80,16 +77,11 @@ class WeightAssignment:
     any positive weighting (the induced walk only depends on ratios).
     """
 
-    graph: GraphInstance
     rho: np.ndarray
     tilde_rho: np.ndarray
     rho_star: np.ndarray
     vol: float
     edge_wt: np.ndarray
-
-    def normalized(self) -> "WeightAssignment":
-        """Rescale so that rho(v_out) = 1 (leaves the walk unchanged)."""
-        return derived_weights(self.graph, self.rho / self.rho[self.graph.v_out])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -190,7 +182,6 @@ def derived_weights(g: GraphInstance, rho) -> WeightAssignment:
     rho_star = tilde_rho / rho
     vol = float(tilde_rho.sum())
     return WeightAssignment(
-        graph=g,
         rho=_freeze(rho),
         tilde_rho=_freeze(tilde_rho),
         rho_star=_freeze(rho_star),

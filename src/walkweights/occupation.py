@@ -202,9 +202,7 @@ def expected_occupation_green(
     at v_out; the returned vector patches that entry to 1 so all three
     forward routes share the proper-walk convention.
     """
-    if spec is None or spec.bigG is None:
-        spec = spectral_data(g, w)
-    G = spec.bigG
+    G = (spec or spectral_data(g, w)).bigG
     t = w.tilde_rho
     i, o = g.v_in, g.v_out
     S = G[o, o] / t[o] - G[i, o] / t[i] - G[o, :] / t[o] + G[i, :] / t[i]
@@ -226,9 +224,7 @@ def expected_hitting_time(
     """
     if x == y:
         return 0.0
-    if spec is None or spec.bigG is None:
-        spec = spectral_data(g, w)
-    G = spec.bigG
+    G = (spec or spectral_data(g, w)).bigG
     t = w.tilde_rho
     return float(w.vol / t[y] * G[y, y] - w.vol / t[x] * G[x, y])
 

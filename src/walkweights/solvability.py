@@ -15,6 +15,22 @@ walk can use.  Every such arc lies on some proper walk, so the relative
 interior of the hull is the image of the strictly positive flows
 (Rockafellar, *Convex Analysis*, Thms 6.3 and 6.6).
 
+Existence (a proof sketch of the paper's conjecture; tested on every graph
+with n <= 5).  With x = log rho, walks with mean occupation vector r have
+the concave log-likelihood L(x) = a . x - sum_{v != v_out} r(v) log
+sum_{z~v} e^{x_z}, a = r - e_{v_in}, stationary exactly where tau(rho) = r
+(see ``reconstruct``).  Let r be a relative-interior target with full
+support, so r is the image of a flow f strictly positive on every usable
+arc.  For any direction d, a . d = sum_arcs f(v, y) d_y
+<= sum_{v != v_out} r(v) max_{z~v} d_z, with equality iff d is constant on
+every N(v), v != v_out, which is exactly L's lineality space.  So L's
+recession function is negative off its lineality space, L attains its
+maximum (Rockafellar, Thm 27.1), and the maximiser solves tau(rho) = r.
+The forward image always lies in the relative interior, so on every graph
+whose graph minus v_out is connected the solvable targets are exactly the
+relative interior.  The Bradley-Terry analogue is Zermelo's and Ford's
+existence condition (Ford 1957, *Amer. Math. Monthly* 64).
+
 The LP solver, ``scipy.optimize.linprog``, is imported on the first
 membership test, so importing this module does not load scipy.optimize.
 """
@@ -422,8 +438,10 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
             u for u in adj if len(adj[u]) == 1 and u not in (g.v_in, g.v_out)
         ]
         if pendants:
-            depth = _bfs_depths(adj, g.v_out)
-            u = max(pendants, key=lambda t: (depth[t], t))
+            # Neither reduction changes a survivor's distance to v_out: a
+            # pendant lies on no shortest path, and a merged twin's paths
+            # also run through its partner.
+            u = max(pendants, key=lambda t: (g.distances[t], t))
             (v,) = adj[u]
             alpha = rr[u]
             if not alpha > 0:

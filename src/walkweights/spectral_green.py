@@ -9,7 +9,7 @@ transform that enters the hitting-time and occupation-time formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -42,17 +42,17 @@ _IDENTITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenpairs of the normalized Laplacian, plus Green's matrices.
+    """Eigenpairs of the normalized Laplacian and both Green's matrices,
+    built only by :func:`spectral_data`.
 
     ``eigenvalues`` are nondecreasing; ``eigenvectors`` holds orthonormal
     columns, each sign-fixed so its largest-magnitude entry is positive.
-    ``scriptG``/``bigG`` are None until :func:`greens_functions` fills them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    scriptG: np.ndarray | None = None
-    bigG: np.ndarray | None = None
+    scriptG: np.ndarray
+    bigG: np.ndarray
 
     @property
     def phi0(self) -> np.ndarray:
@@ -67,16 +67,13 @@ def null_mask(eigenvalues: np.ndarray) -> np.ndarray:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    k = np.argmax(np.abs(vectors), axis=0)
+    return vectors * np.sign(vectors[k, np.arange(vectors.shape[1])])
 
 
-def eigendecompose(normL: np.ndarray) -> SpectralData:
-    """Orthonormal eigenbasis of a symmetric PSD matrix.
+def eigendecompose(normL: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenbasis ``(eigenvalues, eigenvectors)`` of a symmetric
+    PSD matrix.
 
     Raises NotSymmetric when the input is visibly asymmetric and
     EigenFailure when LAPACK fails or the spectral reconstruction of the
@@ -97,56 +94,51 @@ def eigendecompose(normL: np.ndarray) -> SpectralData:
     norm = np.linalg.norm(normL)
     if np.linalg.norm(normL - recon) > _RECON_TOL * max(1.0, norm):
         raise EigenFailure("spectral reconstruction exceeds tolerance")
-    return SpectralData(eigenvalues=lam, eigenvectors=phi)
+    return lam, phi
 
 
-def _script_green(spec: SpectralData) -> np.ndarray:
-    """Pseudoinverse of the normalized Laplacian from its eigenpairs."""
-    mask = null_mask(spec.eigenvalues)
+def greens_functions(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, tilde_rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Green's matrices (scriptG, bigG) from the eigenpairs of the
+    normalized Laplacian and the vertex volumes tilde_rho.
+
+    scriptG is the spectral sum over the nonzero eigenpairs; it raises
+    ZeroEigenvalueAmbiguous unless exactly one eigenvalue is in the zero
+    band.  Verifies the pseudoinverse identities scriptG @ normL =
+    I - phi0 phi0* and scriptG @ phi0 = 0 on every evaluation, relative to
+    max|scriptG| * max|normL|: rounding in the products grows with that
+    scale, which reaches ~1e8 near the positivity floor.
+    """
+    lam, phi = eigenvalues, eigenvectors
+    mask = null_mask(lam)
     if int(mask.sum()) != 1:
         raise ZeroEigenvalueAmbiguous(
             f"{int(mask.sum())} eigenvalues in the zero band; "
             "expected exactly one (is the graph connected?)"
         )
-    lam = spec.eigenvalues
-    phi = spec.eigenvectors
     inv = np.where(mask, 0.0, 1.0 / np.where(mask, 1.0, lam))
-    return (phi * inv[None, :]) @ phi.T
-
-
-def greens_functions(spec: SpectralData, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Green's matrices (scriptG, bigG) from eigenpairs and T = diag(tilde_rho).
-
-    Verifies the pseudoinverse identities scriptG @ normL = I - phi0 phi0*
-    and scriptG @ phi0 = 0 on every evaluation, relative to
-    max|scriptG| * max|normL|: rounding in the products grows with that
-    scale, which reaches ~1e8 near the positivity floor.
-    """
-    scriptG = _script_green(spec)
-    lam = spec.eigenvalues
-    phi = spec.eigenvectors
+    scriptG = (phi * inv[None, :]) @ phi.T
     normL = (phi * lam[None, :]) @ phi.T
-    phi0 = spec.phi0
+    phi0 = phi[:, 0]
     proj = np.eye(len(lam)) - np.outer(phi0, phi0)
     tol = _IDENTITY_TOL * float(np.abs(scriptG).max() * np.abs(normL).max())
     if np.abs(scriptG @ normL - proj).max() > tol:
         raise EigenFailure("pseudoinverse identity scriptG @ L = I - P violated")
     if np.abs(scriptG @ phi0).max() > tol:
         raise EigenFailure("pseudoinverse identity scriptG @ phi0 = 0 violated")
-    T = np.asarray(T, dtype=float)
-    t_diag = np.diag(T) if T.ndim == 2 else T
-    sq = np.sqrt(t_diag)
+    sq = np.sqrt(np.asarray(tilde_rho, dtype=float))
     bigG = scriptG * sq[:, None] / sq[None, :]
     return scriptG, bigG
 
 
 def spectral_data(g: GraphInstance, w: WeightAssignment) -> SpectralData:
-    """Eigendecompose the normalized Laplacian of (g, w) and attach both
+    """Eigendecompose the normalized Laplacian of (g, w) and build both
     Green's matrices."""
-    _, T, normL = laplacians(g, w)
-    spec = eigendecompose(normL)
-    scriptG, bigG = greens_functions(spec, T)
-    return replace(spec, scriptG=scriptG, bigG=bigG)
+    normL = laplacians(g, w)[2]
+    lam, phi = eigendecompose(normL)
+    scriptG, bigG = greens_functions(lam, phi, w.tilde_rho)
+    return SpectralData(eigenvalues=lam, eigenvectors=phi, scriptG=scriptG, bigG=bigG)
 
 
 def pseudoinverse_derivative(
@@ -162,13 +154,10 @@ def pseudoinverse_derivative(
     The caller supplies B' and P' from whatever parameterization is being
     differentiated; the formula itself involves no eigendecomposition.
     """
-    mats = {"A": np.asarray(A, float), "Bprime": np.asarray(Bprime, float),
-            "P": np.asarray(P, float), "Pprime": np.asarray(Pprime, float)}
-    shape = mats["A"].shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"A must be square, got {shape}")
-    for name, m in mats.items():
-        if m.shape != shape:
-            raise DimensionMismatch(f"{name} has shape {m.shape}, expected {shape}")
-    A, Bprime, P, Pprime = mats["A"], mats["Bprime"], mats["P"], mats["Pprime"]
+    A, Bprime, P, Pprime = (np.asarray(m, float) for m in (A, Bprime, P, Pprime))
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatch(f"A must be square, got {A.shape}")
+    for name, m in (("Bprime", Bprime), ("P", P), ("Pprime", Pprime)):
+        if m.shape != A.shape:
+            raise DimensionMismatch(f"{name} has shape {m.shape}, expected {A.shape}")
     return -(Pprime + A @ Bprime) @ A - A @ Pprime

@@ -24,8 +24,7 @@ PUBLIC = {
     "enumerate_proper_walks", "hull_dimension", "path_decompose",
     "relint_membership", "solve_complete", "solve_path", "solve_reducible",
     # spectral_green
-    "SpectralData", "eigendecompose", "greens_functions",
-    "pseudoinverse_derivative", "spectral_data",
+    "SpectralData", "pseudoinverse_derivative", "spectral_data",
 }
 
 
@@ -35,4 +34,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 45
+    assert len(PUBLIC) == 43

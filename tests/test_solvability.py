@@ -197,6 +197,57 @@ def test_relint_target_entries():
         ww.solve_path(path_instance(3), [1.0, -0.5, 2.0])
 
 
+# -- existence on every small graph ---------------------------------------------------
+
+
+def chain_occupation(g, rng):
+    """Occupation vector of a walk from v_in whose arc probabilities out of
+    each vertex are Dirichlet(0.7), not the weight-induced ones: 2|E| - n
+    degrees of freedom against the forward map's n - 1."""
+    P = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        if v != g.v_out:
+            P[v, list(g.neighbors[v])] = rng.dirichlet(np.full(len(g.neighbors[v]), 0.7))
+    free = [v for v in range(g.n) if v != g.v_out]
+    r = np.ones(g.n)
+    r[free] = np.linalg.solve(
+        (np.eye(g.n) - P)[np.ix_(free, free)].T, (np.arange(g.n) == g.v_in)[free]
+    )
+    return r
+
+
+def test_existence_on_every_small_graph():
+    # The existence conjecture (see the module docstring of solvability):
+    # every relative-interior target is the image of positive weights.
+    # Every connected graph with n <= 5 and every (v_in, v_out) pair whose
+    # v_out leaves the rest connected: 428 cases.  The tolerance is relative,
+    # since an absolute one can sit below the forward solve's rounding.
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = np.random.default_rng(43)
+    checked = 0
+    for G in graph_atlas_g():
+        n = G.number_of_nodes()
+        if n < 2 or n > 5 or not nx.is_connected(G):
+            continue
+        for v_out in range(n):
+            if not nx.is_connected(G.subgraph(set(G) - {v_out})):
+                continue
+            for v_in in set(G) - {v_out}:
+                g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
+                r = chain_occupation(g, rng)
+                case = (sorted(G.edges), v_in, v_out)
+                assert ww.relint_membership(g, r).status == "relative_interior", case
+                cfg = ww.ReconstructionConfig(cost_tol=(1e-10 * r.max()) ** 2)
+                res = ww.reconstruct_weights(g, r, cfg)
+                tau = ww.expected_occupation_fixed_point(g, res.weights).values
+                assert res.converged, case
+                assert np.abs(tau - r).max() <= 1e-9 * r.max(), case
+                checked += 1
+    assert checked == 428
+
+
 # -- path solver -----------------------------------------------------------------------
 
 
