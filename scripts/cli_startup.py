@@ -6,7 +6,9 @@ Every subcommand runs on a committed instance in a fresh Python process,
 RUNS times, the commands taking turns so that drift on a shared box
 spreads over all of them.  The script prints one JSON object: per command
 its arguments, the median and all wall times of the process, and the scipy
-subpackages loaded when the command returned.  The ``import`` row imports ``walkweights.cli`` and runs nothing.
+subpackages loaded when the command returned.  The ``import`` row imports
+``walkweights.cli`` and runs nothing; ``check hull`` runs ``check`` without
+a target, so it reports the hull dimension and runs no LP.
 
 ``--src`` is the source tree ``walkweights`` is imported from (default: this
 checkout's ``src``), so one script can time two checkouts.  BLAS is pinned
@@ -71,6 +73,7 @@ def commands(tmp: Path) -> dict[str, list[str]]:
         "reconstruct": ["reconstruct", "--instance", grid, "--target", grid_tau, "--out", out],
         "solve": ["solve", "--instance", path, "--target", path_tau, "--out", out],
         "check": ["check", "--instance", grid, "--target", grid_tau, "--out", out],
+        "check hull": ["check", "--instance", grid, "--out", out],
         "gradcheck": ["gradcheck", "--instance", grid, "--seed", "1", "--out", out],
     }
 

@@ -5,8 +5,9 @@ walkweights, numpy and scipy versions that produced it) and is written
 atomically (temp file + rename), so interrupted runs never leave
 partial files and identical manifests always reproduce identical bytes.
 
-Exit codes: 0 success, 1 input error, 2 non-convergence,
-3 structural rejection (target outside the solvable cone / irreducible).
+Exit codes: 0 success, 1 input error, 2 non-convergence (including an
+exact solve whose forward round trip misses the target), 3 structural
+rejection (target outside the solvable cone / irreducible).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__, occupation, reconstruct, solvability
-from .errors import Irreducible, NoDescent, NotInPsi, WalkWeightsError
+from .errors import Irreducible, NoDescent, NotInPsi, VerificationError, WalkWeightsError
 from .graph_core import derived_weights, instance_to_dict, load_instance
 
 __all__ = ["main"]
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except (NotInPsi, Irreducible) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except VerificationError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except (WalkWeightsError, OSError, ValueError, json.JSONDecodeError) as exc:
         name = type(exc).__name__ if isinstance(exc, WalkWeightsError) else "error"
         print(f"{name}: {exc}", file=sys.stderr)

@@ -103,6 +103,13 @@ def _bfs_depths(neighbors, start: int, skip: int | None = None) -> dict[int, int
     return depth
 
 
+def _check_vertex(n: int, v: int, name: str) -> None:
+    """Raise ValueError naming the argument ``name`` unless ``v`` is one of
+    the vertex ids 0..n-1."""
+    if not 0 <= v < n:
+        raise ValueError(f"{name}={v} outside 0..{n - 1}")
+
+
 def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
     """Validate and assemble a GraphInstance.
 
@@ -114,8 +121,7 @@ def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     for v, name in ((v_in, "v_in"), (v_out, "v_out")):
-        if not (0 <= v < n):
-            raise ValueError(f"{name}={v} outside 0..{n - 1}")
+        _check_vertex(n, v, name)
     if v_in == v_out:
         raise InOutCoincide(f"v_in and v_out are both {v_in}")
 

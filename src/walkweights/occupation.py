@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .errors import Disconnected, InvalidTarget, SingularSystem, StepLimitExceeded
-from .graph_core import GraphInstance, WeightAssignment, transition_matrix
+from .graph_core import GraphInstance, WeightAssignment, _check_vertex, transition_matrix
 from .spectral_green import SpectralData, spectral_data
 
 __all__ = [
@@ -222,6 +222,8 @@ def expected_hitting_time(
 
     Pass ``spec=None`` to have the spectral data computed on the fly.
     """
+    _check_vertex(g.n, x, "x")
+    _check_vertex(g.n, y, "y")
     if x == y:
         return 0.0
     G = (spec or spectral_data(g, w)).bigG

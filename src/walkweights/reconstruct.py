@@ -35,7 +35,13 @@ from .errors import (
     SupportMismatch,
     ZeroVariance,
 )
-from .graph_core import GraphInstance, WeightAssignment, _induced_subgraph, derived_weights
+from .graph_core import (
+    GraphInstance,
+    WeightAssignment,
+    _check_vertex,
+    _induced_subgraph,
+    derived_weights,
+)
 from .occupation import (
     _pinned_fixed_point,
     _target_array,
@@ -186,6 +192,7 @@ def weight_jacobians(g: GraphInstance, w: WeightAssignment, x: int) -> Derivativ
     null-eigenvector derivative applies the full square-root chain rule to
     phi0(y) = sqrt(tilde(y)/vol).
     """
+    _check_vertex(g.n, x, "x")
     rho, tilde, vol = w.rho, w.tilde_rho, w.vol
     d_tilde = np.where(g.adjacency[x] > 0, rho, 0.0)
     d_tilde[x] = w.rho_star[x]

@@ -2,10 +2,14 @@
 
 A target r (with r(v_out) = 1) is solvable when strictly positive weights
 reproduce it.  Necessarily r lies in the relative interior of the convex
-hull of proper-walk traces.  This module decides that membership, and the
-hull's dimension, exactly with an arc-flow LP, and constructs exact
+hull of proper-walk traces.  This module decides that membership exactly
+with an arc-flow LP, gives the hull's dimension in closed form from a BFS
+(the dimension lemma, see ``hull_dimension``), and constructs exact
 solutions on paths, complete graphs, and anything that pendant stripping
 plus twin merging reduces to one of those base cases (all trees included).
+Those shapes are read off degrees, neighbour sets and the BFS distances to
+v_out that every ``GraphInstance`` holds; the LP is the module's only
+numerical decision.
 
 The arc-flow system: a proper walk's trace is e_{v_in} plus the arrivals of
 the arcs it crosses, and by flow decomposition into one v_in-v_out path
@@ -32,7 +36,7 @@ relative interior.  The Bradley-Terry analogue is Zermelo's and Ford's
 existence condition (Ford 1957, *Amer. Math. Monthly* 64).
 
 The LP solver, ``scipy.optimize.linprog``, is imported on the first
-membership test, so importing this module does not load scipy.optimize.
+membership test, so importing this module loads no scipy submodule.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import CapTooSmall, Irreducible, NotInPsi, VerificationError
 from .graph_core import (
@@ -135,16 +138,27 @@ def _arc_incidence(g: GraphInstance) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hull_dimension(g: GraphInstance) -> int:
-    """Affine dimension of the proper-walk trace hull.
+    """Affine dimension of the proper-walk trace hull: |R| - [R + v_out
+    induces a bipartite graph], R the vertices a walk reaches from v_in
+    without passing v_out.
 
-    Traces are e_{v_in} + head x over the unit v_in-v_out flows x, whose
-    directions are the circulations: the null space of head - tail on every
-    vertex but v_out.
+    Traces are 1 at v_out and 0 off R + v_out, so the dimension is |R| less
+    that of the directions d on R orthogonal to the hull.  Inserting a
+    back-and-forth step u -> v -> u into a walk adds d(u) + d(v) to
+    d . trace, so d(u) + d(v) = 0 on every edge inside R.  R is connected,
+    so d is c times a +/-1 colouring of R, and d = 0 when R is not
+    bipartite.  A walk x_0, ..., x_k = v_out then has d . trace
+    = c colour(x_0) [k odd], and k is odd exactly when x_{k-1} has x_0's
+    colour.  Every neighbour of v_out in R ends some walk, so d . trace is
+    constant exactly when those neighbours all have one colour.  When the
+    graph minus v_out is connected this is the paper's n - 1 - [bipartite].
     """
-    head, tail = _arc_incidence(g)
-    keep = np.arange(g.n) != g.v_out
-    circulations = scipy.linalg.null_space(head[keep] - tail[keep])
-    return int(np.linalg.matrix_rank(head @ circulations))
+    depth = _bfs_depths(g.neighbors, g.v_in, skip=g.v_out)
+    exit_parities = {depth[u] % 2 for u in g.neighbors[g.v_out] if u in depth}
+    bipartite = len(exit_parities) == 1 and all(
+        (depth[u] - depth[v]) % 2 for u in depth for v in g.neighbors[u] if v in depth
+    )
+    return len(depth) - bipartite
 
 
 def linprog(*args, **kwargs):
@@ -206,23 +220,14 @@ def relint_membership(g: GraphInstance, r) -> RelintResult:
 # -- base-case shape detection ----------------------------------------------
 
 
-def _path_order(adj, v_in: int, v_out: int) -> list[int] | None:
-    """Vertex order from v_out to v_in when the neighbour mapping ``adj`` is
-    a path with those ends."""
-    if len(adj) == 2:
-        return [v_out, v_in]
+def _path_order(adj, g: GraphInstance) -> list[int] | None:
+    """Vertex order from v_out to v_in when the neighbour mapping ``adj``, a
+    connected subgraph of ``g`` that keeps every distance to v_out, is a
+    path with those ends."""
     leaves = {v for v, nbrs in adj.items() if len(nbrs) == 1}
-    if max(len(nbrs) for nbrs in adj.values()) > 2 or leaves != {v_out, v_in}:
+    if leaves != {g.v_in, g.v_out} or max(len(nbrs) for nbrs in adj.values()) > 2:
         return None
-    order = [v_out]
-    prev = -1
-    while order[-1] != v_in:
-        nbrs = [u for u in adj[order[-1]] if u != prev]
-        if len(nbrs) != 1:
-            return None
-        prev = order[-1]
-        order.append(nbrs[0])
-    return order if len(order) == len(adj) else None
+    return sorted(adj, key=g.distances.__getitem__)
 
 
 def _is_complete(adj) -> bool:
@@ -230,8 +235,8 @@ def _is_complete(adj) -> bool:
     return n >= 3 and all(len(nbrs) == n - 1 for nbrs in adj.values())
 
 
-def _family(adj, v_in: int, v_out: int) -> str:
-    if _path_order(adj, v_in, v_out) is not None:
+def _family(adj, g: GraphInstance) -> str:
+    if _path_order(adj, g) is not None:
         return "path"
     if _is_complete(adj):
         return "complete"
@@ -239,7 +244,7 @@ def _family(adj, v_in: int, v_out: int) -> str:
 
 
 def detect_family(g: GraphInstance) -> str:
-    return _family(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
+    return _family(dict(enumerate(g.neighbors)), g)
 
 
 # -- path solver --------------------------------------------------------------
@@ -265,7 +270,7 @@ def path_decompose(g: GraphInstance, r) -> PathDecomposition:
     equation fails (relative to r(v_in), whose rounding the alphas carry),
     or r(v_out) differs from 1.
     """
-    order = _path_order(dict(enumerate(g.neighbors)), g.v_in, g.v_out)
+    order = _path_order(dict(enumerate(g.neighbors)), g)
     if order is None:
         raise ValueError("graph is not a path with endpoints v_out, v_in")
     r = _target_array(r, g.n)
@@ -431,7 +436,7 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
     records: list[tuple] = []
 
     while True:
-        kind = _family(adj, g.v_in, g.v_out)
+        kind = _family(adj, g)
         if kind != "other":
             break
         pendants = [
@@ -457,25 +462,18 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
             adj[v].discard(u)
             del adj[u]
             continue
-        twin = None
-        ids = sorted(adj)
-        for i, v in enumerate(ids):
-            if v in (g.v_in, g.v_out):
-                continue
-            for w_vtx in ids[i + 1:]:
-                if w_vtx in (g.v_in, g.v_out) or w_vtx in adj[v]:
-                    continue
-                if adj[v] == adj[w_vtx]:
-                    twin = (v, w_vtx)
-                    break
-            if twin:
-                break
-        if twin is None:
+        # Twins share a neighbourhood, so they are never adjacent.
+        groups: dict[frozenset[int], list[int]] = {}
+        for v in sorted(adj):
+            if v not in (g.v_in, g.v_out):
+                groups.setdefault(frozenset(adj[v]), []).append(v)
+        twins = [grp[:2] for grp in groups.values() if len(grp) > 1]
+        if not twins:
             raise Irreducible(
                 "residual graph has no pendant, no twins, and is neither a "
                 "path (v_out..v_in) nor complete"
             )
-        v, w_vtx = twin
+        v, w_vtx = min(twins)
         if not (rr[v] > 0 and rr[w_vtx] > 0):
             raise NotInPsi(
                 f"twin merge ({v},{w_vtx}): targets must be positive"

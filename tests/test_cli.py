@@ -270,6 +270,25 @@ def test_solve_petersen_irreducible(tmp_path, capsys):
     assert "Irreducible" in capsys.readouterr().err
 
 
+def test_solve_round_trip_miss_is_nonconvergence(tmp_path, capsys):
+    # check certifies this target, but the path solver's forward round trip
+    # misses it by 5.4e-9 relative, above its 1e-9 bound: a numerical
+    # failure (exit 2), not an input error (exit 1).
+    g = ww.build_graph(10, [(i, i + 1) for i in range(9)], v_in=9, v_out=0)
+    inst = tmp_path / "p10.json"
+    ww.save_instance(inst, g)
+    w = ww.derived_weights(g, 3.0 ** np.arange(10))
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps(ww.expected_occupation_fixed_point(g, w).values.tolist()))
+    report = str(tmp_path / "report.json")
+    assert main(["check", "--instance", str(inst), "--target", str(target),
+                 "--out", report]) == 0
+    assert read_json(report)["relint"] is True
+    capsys.readouterr()
+    assert main(["solve", "--instance", str(inst), "--target", str(target)]) == 2
+    assert "VerificationError" in capsys.readouterr().err
+
+
 def test_solve_not_in_psi_exit_code(p3_file, tmp_path, capsys):
     target = tmp_path / "r.json"
     target.write_text(json.dumps([1.0, 1.0, 1.0]))

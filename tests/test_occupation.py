@@ -149,6 +149,17 @@ def test_hitting_time_p3():
     assert ww.expected_hitting_time(g, w, None, 2, 0) == pytest.approx(4.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_hitting_time_rejects_vertex_out_of_range(bad):
+    # -1 would otherwise index the last vertex, and 4 raise an IndexError.
+    g = path_instance(4)
+    w = ww.derived_weights(g, np.ones(4))
+    with pytest.raises(ValueError, match=f"x={bad} outside"):
+        ww.expected_hitting_time(g, w, None, bad, 0)
+    with pytest.raises(ValueError, match=f"y={bad} outside"):
+        ww.expected_hitting_time(g, w, None, 3, bad)
+
+
 def test_hitting_time_first_step_oracle():
     # Independent oracle: E(x -> y) solves b = 1 + P b with b(y) = 0.
     rng = np.random.default_rng(10)

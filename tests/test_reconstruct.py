@@ -75,6 +75,16 @@ def test_dvol_is_sum_of_dtilde():
             assert bundle.d_vol == pytest.approx(bundle.d_tilde_rho.sum(), rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_vertex_derivatives_reject_vertex_out_of_range(bad):
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    with pytest.raises(ValueError, match=f"x={bad} outside"):
+        ww.weight_jacobians(g, w, bad)
+    with pytest.raises(ValueError, match=f"x={bad} outside"):
+        ww.green_derivative(g, w, ww.spectral_data(g, w), bad)
+
+
 def fd_of(fn, rho, x, h):
     up = rho.copy()
     up[x] += h

@@ -135,6 +135,18 @@ def test_arc_flow_hull_matches_walk_enumeration():
     assert checked == 86
 
 
+@pytest.mark.parametrize("v_in", [0, 3, 4, 5, 6])
+def test_hull_dimension_with_cut_v_out(v_in):
+    # v_out = 2 cuts vertex 1 off, so walks reach 5 vertices, and the odd
+    # cycles 0-2-3 and 2-3-5 through v_out leave no parity hyperplane: the
+    # hull has dimension 5, one less than the vertices besides v_out.
+    edges = [(0, 2), (0, 3), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (5, 6)]
+    g = ww.build_graph(7, edges, v_in=v_in, v_out=2)
+    traces = np.array([w.trace for w in ww.enumerate_proper_walks(g, 8)], dtype=float)
+    rank = np.linalg.matrix_rank(traces[1:] - traces[0])
+    assert ww.hull_dimension(g) == rank == 5
+
+
 # -- relint membership ---------------------------------------------------------------
 
 
