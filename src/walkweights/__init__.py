@@ -7,6 +7,13 @@ reconstructs vertex weights from target occupation times
 ``steepest_descent``: the paper's projected descent),
 and decides/constructs exact solutions on paths, complete graphs, and
 pendant/twin-reducible graphs.
+
+The package exports the names that answer those questions.  Steps inside
+them and test oracles stay in their modules: ``laplacians`` and
+``instance_to_dict`` in ``graph_core``; ``WalkTrace`` and
+``make_walk_trace`` in ``occupation``; ``weight_jacobians`` in
+``reconstruct``; ``detect_family``, ``path_decompose``,
+``PathDecomposition`` and ``enumerate_proper_walks`` in ``solvability``.
 """
 
 from . import errors
@@ -15,25 +22,19 @@ from .graph_core import (
     WeightAssignment,
     build_graph,
     derived_weights,
-    instance_from_dict,
-    instance_to_dict,
-    laplacians,
     load_instance,
     save_instance,
     transition_matrix,
 )
 from .occupation import (
     OccupationVector,
-    WalkTrace,
     empirical_occupation,
     expected_hitting_time,
     expected_occupation_fixed_point,
     expected_occupation_green,
-    make_walk_trace,
     occupation_matrix,
 )
 from .reconstruct import (
-    GradientReport,
     ReconstructionConfig,
     ReconstructionResult,
     complex_step_gradient,
@@ -44,15 +45,10 @@ from .reconstruct import (
     reconstruct_weights,
     restrict_support,
     steepest_descent,
-    weight_jacobians,
 )
 from .solvability import (
-    PathDecomposition,
     RelintResult,
-    detect_family,
-    enumerate_proper_walks,
     hull_dimension,
-    path_decompose,
     relint_membership,
     solve_complete,
     solve_path,

@@ -241,10 +241,6 @@ def _induced_subgraph(g: GraphInstance, keep) -> GraphInstance:
 def load_instance(path) -> tuple[GraphInstance, WeightAssignment | None]:
     """Load and validate an instance file; returns (graph, weights-or-None)."""
     data = json.loads(Path(path).read_text())
-    return instance_from_dict(data)
-
-
-def instance_from_dict(data: dict) -> tuple[GraphInstance, WeightAssignment | None]:
     for key in ("n", "edges", "v_in", "v_out"):
         if key not in data:
             raise ValueError(f"instance file missing required field '{key}'")

@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from .errors import Disconnected, InvalidTarget, SingularSystem, StepLimitExceeded
-from .graph_core import GraphInstance, WeightAssignment, _check_vertex, transition_matrix
+from .graph_core import GraphInstance, WeightAssignment, _check_vertex
 from .spectral_green import SpectralData, spectral_data
 
 __all__ = [
@@ -244,16 +244,16 @@ def _neighbour_tables(g: GraphInstance, w: WeightAssignment):
     neighbour when the row sum rounds below 1.  Padding entries are 1.0 as
     well and repeat the last neighbour, so they are never selected.
 
-    The cumulative sums run over the neighbours only.  A dense row's
-    non-neighbour entries add exactly 0.0, so each neighbour's entry is the
-    same float as in the dense row ``cumsum(P[v])``, and every uniform maps
-    to the same vertex.
+    The cumulative sums run over the neighbours only, of the probabilities
+    rho(y) / sum_{z~v} rho(z) that ``transition_matrix`` holds at them.  A
+    dense row's non-neighbour entries add exactly 0.0, so each neighbour's
+    entry is the same float as in the dense row ``cumsum(P[v])``, and every
+    uniform maps to the same vertex.
     """
-    P = transition_matrix(g, w)
     deg = np.array([len(nbrs) for nbrs in g.neighbors])
     width = 1 << int(deg.max() - 1).bit_length()
     nbr = np.array([nbrs + nbrs[-1:] * (width - len(nbrs)) for nbrs in g.neighbors])
-    cum = np.cumsum(np.take_along_axis(P, nbr, axis=1), axis=1)
+    cum = np.cumsum(w.rho[nbr] / (g.adjacency @ w.rho)[:, None], axis=1)
     cum[np.arange(width)[None, :] >= (deg - 1)[:, None]] = 1.0
     return cum, nbr
 

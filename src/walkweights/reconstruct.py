@@ -52,7 +52,6 @@ from .spectral_green import SpectralData, pseudoinverse_derivative, spectral_dat
 __all__ = [
     "ReconstructionConfig",
     "DerivativeBundle",
-    "GradientReport",
     "IterationRecord",
     "ReconstructionResult",
     "cost",
@@ -112,17 +111,6 @@ class DerivativeBundle:
     d_norm_laplacian: np.ndarray
     d_phi0: np.ndarray
     d_projector: np.ndarray
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    """Cost, its gradient over the free vertices, and the fixed-point
-    occupation vector ``tau`` the residual was taken from."""
-
-    cost: float
-    gradient: np.ndarray
-    free_vertices: tuple[int, ...]
-    tau: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -290,8 +278,9 @@ def _adjoint_gradient(
 
 def occupation_gradient(
     g: GraphInstance, w: WeightAssignment, tau_hat, *, mode: str = "adjoint"
-) -> GradientReport:
-    """Cost and its gradient over V minus v_out.
+) -> np.ndarray:
+    """The cost's gradient over V minus v_out, in vertex order, as
+    ``complex_step_gradient`` returns it; the cost itself is ``cost``.
 
     ``mode="adjoint"`` back-solves the transposed pinned fixed-point system
     with the LU factors of the forward solve.  ``mode="green"`` walks the
@@ -312,19 +301,15 @@ def occupation_gradient(
         raise ValueError(f"unknown gradient mode {mode!r}")
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
-    free = tuple(v for v in range(g.n) if v != g.v_out)
+    free = [v for v in range(g.n) if v != g.v_out]
     r, lu, resid = _pinned_residual(g, w.rho, tau)
-    theta = float(resid @ resid)
-
     if mode == "adjoint":
-        grad = _adjoint_gradient(g, w.rho, r, lu, resid)[list(free)]
-    else:
-        spec = spectral_data(g, w)
-        grad = np.array([
-            2.0 * float(resid @ _d_tau(g, w, spec, weight_jacobians(g, w, x)))
-            for x in free
-        ])
-    return GradientReport(cost=theta, gradient=grad, free_vertices=free, tau=r)
+        return _adjoint_gradient(g, w.rho, r, lu, resid)[free]
+    spec = spectral_data(g, w)
+    return np.array([
+        2.0 * float(resid @ _d_tau(g, w, spec, weight_jacobians(g, w, x)))
+        for x in free
+    ])
 
 
 def _complex_step_jacobian(g: GraphInstance, rho: np.ndarray) -> np.ndarray:

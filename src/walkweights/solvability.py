@@ -427,7 +427,8 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
     Greedily strips pendant vertices (deepest from v_out first), merges
     twin pairs when no pendant remains, solves the residual path or
     complete graph in closed form, then replays the reductions in reverse.
-    Covers all trees (which strip down to a single edge).  Raises NotInPsi
+    Covers all trees (which strip down to a single edge); a path or a
+    complete graph goes straight to its closed form.  Raises NotInPsi
     naming the failing stage, or Irreducible when stuck.
     """
     r = _target_array(r, g.n)
@@ -487,15 +488,14 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
         del adj[w_vtx]
 
     # Both reductions only delete vertices, so the residual graph is the
-    # subgraph of g induced on the survivors.
+    # subgraph of g induced on the survivors.  With no reduction it is g,
+    # and the base solver's verified weights are the answer.
+    base = solve_path if kind == "path" else solve_complete
     ids = sorted(adj)
-    sub = _induced_subgraph(g, ids)
-    r_sub = np.array([rr[old] for old in ids])
     try:
-        if kind == "path":
-            w_sub = solve_path(sub, r_sub)
-        else:
-            w_sub = solve_complete(sub, r_sub)
+        if not records:
+            return base(g, r)
+        w_sub = base(_induced_subgraph(g, ids), np.array([rr[old] for old in ids]))
     except NotInPsi as exc:
         raise NotInPsi(f"{kind} base case: {exc}") from exc
 

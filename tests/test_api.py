@@ -8,21 +8,19 @@ import walkweights as ww
 PUBLIC = {
     # graph_core
     "GraphInstance", "WeightAssignment", "build_graph", "derived_weights",
-    "instance_from_dict", "instance_to_dict", "laplacians", "load_instance",
-    "save_instance", "transition_matrix",
+    "load_instance", "save_instance", "transition_matrix",
     # occupation
-    "OccupationVector", "WalkTrace", "empirical_occupation",
-    "expected_hitting_time", "expected_occupation_fixed_point",
-    "expected_occupation_green", "make_walk_trace", "occupation_matrix",
+    "OccupationVector", "empirical_occupation", "expected_hitting_time",
+    "expected_occupation_fixed_point", "expected_occupation_green",
+    "occupation_matrix",
     # reconstruct
-    "GradientReport", "ReconstructionConfig", "ReconstructionResult",
-    "complex_step_gradient", "cost", "expertise_correlation",
-    "green_derivative", "occupation_gradient", "reconstruct_weights",
-    "restrict_support", "steepest_descent", "weight_jacobians",
+    "ReconstructionConfig", "ReconstructionResult", "complex_step_gradient",
+    "cost", "expertise_correlation", "green_derivative",
+    "occupation_gradient", "reconstruct_weights", "restrict_support",
+    "steepest_descent",
     # solvability
-    "PathDecomposition", "RelintResult", "detect_family",
-    "enumerate_proper_walks", "hull_dimension", "path_decompose",
-    "relint_membership", "solve_complete", "solve_path", "solve_reducible",
+    "RelintResult", "hull_dimension", "relint_membership", "solve_complete",
+    "solve_path", "solve_reducible",
     # spectral_green
     "SpectralData", "pseudoinverse_derivative", "spectral_data",
 }
@@ -34,4 +32,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 32

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, manifests, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import scipy
 import walkweights as ww
 from walkweights.cli import main
 from walkweights.occupation import DEFAULT_CHUNK
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture
@@ -194,6 +197,14 @@ def test_target_shape_checked_by_library(p3_file, tmp_path, capsys):
         assert "InvalidTarget" in capsys.readouterr().err
 
 
+def test_target_object_without_tau_is_input_error(p3_file, tmp_path, capsys):
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps({"r": [1.0, 2.0, 2.0]}))
+    for command in ("reconstruct", "solve", "check"):
+        assert main([command, "--instance", p3_file, "--target", str(target)]) == 1
+        assert "lacks a 'tau' field" in capsys.readouterr().err
+
+
 def test_reconstruct_nonconvergence_exit_code(p3_file, tmp_path):
     target = tmp_path / "t.json"
     target.write_text(json.dumps([1.0, 2.0, 3.0]))  # unreachable on a path
@@ -202,6 +213,21 @@ def test_reconstruct_nonconvergence_exit_code(p3_file, tmp_path):
                  "--out", out, "--max-iters", "30"])
     assert code == 2
     assert read_json(out)["status"] in ("max_iters", "no_descent")
+
+
+def test_reconstruct_no_descent_writes_partial_result(tmp_path, capsys):
+    # Off P3's trace hull (r(1) != r(2)): a full Newton step at L's maximum
+    # leaves the cost no lower, and the CLI still writes where it stopped.
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps([1.0, 2.5, 2.6]))
+    out = str(tmp_path / "w.json")
+    code = main(["reconstruct", "--instance", str(INSTANCES / "p3_uniform.json"),
+                 "--target", str(target), "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("warning: full Newton step")
+    data = read_json(out)
+    assert data["status"] == "no_descent"
+    assert data["iterations"] == 3
 
 
 def test_reconstruct_has_one_gradient(p3_file, tmp_path, capsys):

@@ -18,7 +18,12 @@ from synth import (
 )
 from walkweights.errors import Disconnected, StepLimitExceeded
 from walkweights.graph_core import transition_matrix
-from walkweights.occupation import _chunk_rng, _neighbour_tables, _simulate_chunk
+from walkweights.occupation import (
+    _chunk_rng,
+    _neighbour_tables,
+    _simulate_chunk,
+    make_walk_trace,
+)
 
 
 def single_edge():
@@ -187,12 +192,12 @@ def test_hitting_time_first_step_oracle():
 def test_walk_trace_validation():
     g = path_instance(3)
     with pytest.raises(ValueError, match="non-edge"):
-        ww.make_walk_trace(g, [2, 0])
+        make_walk_trace(g, [2, 0])
     # Out-of-range ids are named with their position, before any edge check
     # (-1 would otherwise wrap round to vertex 2).
     for walk, k, v in [([0, 5], 1, 5), ([1, -1], 1, -1), ([2, 1, -2], 2, -2)]:
         with pytest.raises(ValueError, match=f"position {k} holds vertex {v},"):
-            ww.make_walk_trace(g, walk)
+            make_walk_trace(g, walk)
 
 
 # -- empirical occupation --------------------------------------------------------

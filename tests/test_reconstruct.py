@@ -19,7 +19,8 @@ from synth import (
     tau_of,
 )
 from walkweights.errors import InvalidTarget, NoDescent, SupportMismatch, ZeroVariance
-from walkweights.reconstruct import _likelihood_derivatives
+from walkweights.graph_core import laplacians
+from walkweights.reconstruct import _likelihood_derivatives, weight_jacobians
 
 
 def single_edge():
@@ -60,7 +61,7 @@ def test_cost_rejects_zero_support():
 def test_jacobian_single_edge_stated_values():
     g = single_edge()
     w = ww.derived_weights(g, np.ones(2))
-    bundle = ww.weight_jacobians(g, w, g.v_in)
+    bundle = weight_jacobians(g, w, g.v_in)
     assert bundle.d_tilde_rho.tolist() == [1.0, 1.0]
     assert bundle.d_vol == 2.0
 
@@ -71,7 +72,7 @@ def test_dvol_is_sum_of_dtilde():
         g = random_connected_instance(int(rng.integers(2, 8)), rng)
         w = ww.derived_weights(g, random_rho(g, rng))
         for x in range(g.n):
-            bundle = ww.weight_jacobians(g, w, x)
+            bundle = weight_jacobians(g, w, x)
             assert bundle.d_vol == pytest.approx(bundle.d_tilde_rho.sum(), rel=1e-12)
 
 
@@ -80,7 +81,7 @@ def test_vertex_derivatives_reject_vertex_out_of_range(bad):
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
     with pytest.raises(ValueError, match=f"x={bad} outside"):
-        ww.weight_jacobians(g, w, bad)
+        weight_jacobians(g, w, bad)
     with pytest.raises(ValueError, match=f"x={bad} outside"):
         ww.green_derivative(g, w, ww.spectral_data(g, w), bad)
 
@@ -102,7 +103,7 @@ def test_jacobian_bundle_matches_finite_differences():
         w = ww.derived_weights(g, rho)
         for x in range(g.n):
             h = 1e-5 * max(1.0, rho[x])
-            bundle = ww.weight_jacobians(g, w, x)
+            bundle = weight_jacobians(g, w, x)
 
             def tilde(r):
                 return ww.derived_weights(g, r).tilde_rho
@@ -111,7 +112,7 @@ def test_jacobian_bundle_matches_finite_differences():
                 return ww.derived_weights(g, r).vol
 
             def norm_lap(r):
-                return ww.laplacians(g, ww.derived_weights(g, r))[2]
+                return laplacians(g, ww.derived_weights(g, r))[2]
 
             def phi0(r):
                 w2 = ww.derived_weights(g, r)
@@ -162,11 +163,9 @@ def test_green_derivative_matches_finite_differences(maker):
 def test_gradient_zero_at_global_minimum():
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
-    rep = ww.occupation_gradient(g, w, [1.0, 2.0, 2.0])
-    assert rep.cost == 0.0
-    assert np.abs(rep.gradient).max() <= 1e-12
-    assert rep.free_vertices == (1, 2)
-    assert len(rep.gradient) == g.n - 1
+    grad = ww.occupation_gradient(g, w, [1.0, 2.0, 2.0])
+    assert np.abs(grad).max() <= 1e-12
+    assert grad.shape == (g.n - 1,)
 
 
 def test_gradient_matches_fd_random_triples():
@@ -178,11 +177,9 @@ def test_gradient_matches_fd_random_triples():
         rho = random_rho(g, rng)
         tau_hat = tau_of(g, random_rho(g, rng))
         w = ww.derived_weights(g, rho)
-        rep = ww.occupation_gradient(g, w, tau_hat)
+        grad = ww.occupation_gradient(g, w, tau_hat)
         exact = ww.complex_step_gradient(g, rho, tau_hat)
-        worst = max(
-            worst, np.abs(rep.gradient - exact).max() / max(1.0, np.abs(exact).max())
-        )
+        worst = max(worst, np.abs(grad - exact).max() / max(1.0, np.abs(exact).max()))
     assert worst <= 1e-9
 
 
@@ -213,9 +210,7 @@ def test_adjoint_matches_green_chain(case):
     w = ww.derived_weights(g, rho)
     adjoint = ww.occupation_gradient(g, w, tau_hat)
     green = ww.occupation_gradient(g, w, tau_hat, mode="green")
-    assert np.abs(adjoint.gradient - green.gradient).max() <= 1e-9 * max(
-        1.0, np.abs(green.gradient).max()
-    )
+    assert np.abs(adjoint - green).max() <= 1e-9 * max(1.0, np.abs(green).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,9 +221,7 @@ def test_adjoint_matches_finite_differences(case):
     exact = ww.complex_step_gradient(g, rho, tau_hat)
     # The oracle carries no step error; what is left is the rounding of the
     # two linear solves, which reached ~1e-7 with every weight at 1e-2 or 1e2.
-    assert np.abs(adjoint.gradient - exact).max() <= 1e-6 * max(
-        1.0, np.abs(exact).max()
-    )
+    assert np.abs(adjoint - exact).max() <= 1e-6 * max(1.0, np.abs(exact).max())
 
 
 def likelihood_terms(g, tau):
@@ -307,9 +300,7 @@ def test_gradient_fd_mode_agrees():
     w = ww.derived_weights(g, rho)
     green = ww.occupation_gradient(g, w, tau_hat, mode="green")
     exact = ww.complex_step_gradient(g, rho, tau_hat)
-    assert np.abs(green.gradient - exact).max() <= 1e-9 * max(
-        1.0, np.abs(exact).max()
-    )
+    assert np.abs(green - exact).max() <= 1e-9 * max(1.0, np.abs(exact).max())
 
 
 def test_gradient_gives_descent_direction():
@@ -317,12 +308,12 @@ def test_gradient_gives_descent_direction():
     rho = np.array([1.0, 1.0, 2.0])
     w = ww.derived_weights(g, rho)
     tau_hat = np.array([1.0, 2.0, 2.0])
-    rep = ww.occupation_gradient(g, w, tau_hat)
-    assert rep.cost > 0
+    before = ww.cost(g, w, tau_hat)
+    assert before > 0
     step = np.zeros(3)
-    step[list(rep.free_vertices)] = rep.gradient
+    step[1:] = ww.occupation_gradient(g, w, tau_hat)  # v_out is vertex 0
     moved = ww.cost(g, ww.derived_weights(g, rho - 1e-4 * step), tau_hat)
-    assert moved < rep.cost
+    assert moved < before
 
 
 # -- support restriction ----------------------------------------------------------
@@ -586,6 +577,19 @@ def test_newton_boundary_target_still_converges():
         res = ww.reconstruct_weights(path_instance(3), [1.0, 1.0, 1.0], cfg)
         assert res.status == "converged", (cost_tol, res.final_cost)
         assert res.final_cost <= cost_tol and res.weights.rho[2] < 1e-4
+
+
+def test_reconstruct_accepts_occupation_vector():
+    # The paper's pipeline from walks to weights: the sampler's
+    # OccupationVector goes in as the target, as its values would.
+    rng = np.random.default_rng(4600)
+    g = random_connected_instance(6, rng)
+    w = ww.derived_weights(g, random_rho(g, rng))
+    vec = ww.empirical_occupation(g, w, 4000, seed=11)
+    res = ww.reconstruct_weights(g, vec)
+    assert res.converged
+    same = ww.reconstruct_weights(g, vec.values)
+    assert np.array_equal(res.weights.rho, same.weights.rho) and res.log == same.log
 
 
 def test_newton_start_at_hidden_weights_is_one_record():

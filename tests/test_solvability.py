@@ -17,6 +17,8 @@ from synth import (
     tau_of,
 )
 from walkweights.errors import CapTooSmall, InvalidTarget, Irreducible, NotInPsi
+from walkweights.occupation import make_walk_trace
+from walkweights.solvability import detect_family, enumerate_proper_walks, path_decompose
 
 
 def single_edge():
@@ -28,9 +30,9 @@ def single_edge():
 
 def test_trace_vector_examples():
     g = single_edge()
-    assert ww.make_walk_trace(g, [1, 0]).trace.tolist() == [1, 1]
+    assert make_walk_trace(g, [1, 0]).trace.tolist() == [1, 1]
     g = path_instance(3)
-    walk = ww.make_walk_trace(g, [2, 1, 2, 1, 0])
+    walk = make_walk_trace(g, [2, 1, 2, 1, 0])
     assert walk.trace.tolist() == [1, 2, 2]
 
 
@@ -44,7 +46,7 @@ def eta_walk(g, j, k):
     seq = list(range(n - 1, j - 1, -1))          # v_n down to v_{j+1}
     seq += [j - 1, j] * k                        # k back-steps at j
     seq += list(range(j - 1, -1, -1))            # v_j down to v_1
-    return ww.make_walk_trace(g, seq)
+    return make_walk_trace(g, seq)
 
 
 @pytest.mark.parametrize("j,k", [(2, 1), (2, 3), (3, 2), (4, 5)])
@@ -60,29 +62,29 @@ def test_eta_walk_trace_identity(j, k):
 
 
 def test_enumerate_single_edge():
-    walks = ww.enumerate_proper_walks(single_edge(), 5)
+    walks = enumerate_proper_walks(single_edge(), 5)
     assert [w.vertices for w in walks] == [(1, 0)]
 
 
 def test_enumerate_p3_cap4():
-    walks = ww.enumerate_proper_walks(path_instance(3), 4)
+    walks = enumerate_proper_walks(path_instance(3), 4)
     assert [w.vertices for w in walks] == [(2, 1, 0), (2, 1, 2, 1, 0)]
 
 
 def test_enumerate_k3_cap2():
-    walks = ww.enumerate_proper_walks(complete_instance(3), 2)
+    walks = enumerate_proper_walks(complete_instance(3), 2)
     assert [w.vertices for w in walks] == [(1, 0), (1, 2, 0)]
 
 
 def test_enumerate_cap_too_small():
     with pytest.raises(CapTooSmall):
-        ww.enumerate_proper_walks(path_instance(4), 2)
+        enumerate_proper_walks(path_instance(4), 2)
 
 
 def test_bipartite_hyperplane_exact():
     for g in (path_instance(4), cycle_instance(6)):
         c = g.bipartition
-        walks = ww.enumerate_proper_walks(g, 10)
+        walks = enumerate_proper_walks(g, 10)
         values = {int(c @ w.trace) for w in walks}
         assert len(values) == 1
 
@@ -122,7 +124,7 @@ def test_arc_flow_hull_matches_walk_enumeration():
                     continue
                 g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
                 traces = np.array(sorted(
-                    {tuple(w.trace) for w in ww.enumerate_proper_walks(g, 2 * n)}
+                    {tuple(w.trace) for w in enumerate_proper_walks(g, 2 * n)}
                 ), dtype=float)
                 rank = np.linalg.matrix_rank(traces[1:] - traces[0])
                 assert ww.hull_dimension(g) == rank, (sorted(G.edges), v_in, v_out)
@@ -142,7 +144,7 @@ def test_hull_dimension_with_cut_v_out(v_in):
     # hull has dimension 5, one less than the vertices besides v_out.
     edges = [(0, 2), (0, 3), (1, 2), (2, 3), (2, 5), (3, 4), (3, 5), (5, 6)]
     g = ww.build_graph(7, edges, v_in=v_in, v_out=2)
-    traces = np.array([w.trace for w in ww.enumerate_proper_walks(g, 8)], dtype=float)
+    traces = np.array([w.trace for w in enumerate_proper_walks(g, 8)], dtype=float)
     rank = np.linalg.matrix_rank(traces[1:] - traces[0])
     assert ww.hull_dimension(g) == rank == 5
 
@@ -265,26 +267,26 @@ def test_existence_on_every_small_graph():
 
 def test_path_decompose_examples():
     g = path_instance(3)
-    dec = ww.path_decompose(g, [1.0, 2.0, 2.0])
+    dec = path_decompose(g, [1.0, 2.0, 2.0])
     assert dec.alphas.tolist() == [1.0]
     g = path_instance(4)
-    dec = ww.path_decompose(g, [1.0, 2.0, 3.0, 2.0])
+    dec = path_decompose(g, [1.0, 2.0, 3.0, 2.0])
     assert dec.alphas.tolist() == [1.0, 1.0]
 
 
 def test_path_decompose_boundary_rejected():
     with pytest.raises(NotInPsi):
-        ww.path_decompose(path_instance(3), [1.0, 1.0, 1.0])
+        path_decompose(path_instance(3), [1.0, 1.0, 1.0])
 
 
 def test_path_decompose_inconsistent_rejected():
     with pytest.raises(NotInPsi, match="consistency"):
-        ww.path_decompose(path_instance(4), [1.0, 2.0, 3.0, 5.0])
+        path_decompose(path_instance(4), [1.0, 2.0, 3.0, 5.0])
 
 
 def test_path_decompose_wrong_shape():
     with pytest.raises(ValueError):
-        ww.path_decompose(complete_instance(3), [1.0, 2.0, 2.0])
+        path_decompose(complete_instance(3), [1.0, 2.0, 2.0])
 
 
 def test_solve_path_examples():
@@ -355,6 +357,14 @@ def test_solve_complete_lower_bound_rejected():
     g = complete_instance(4)
     with pytest.raises(NotInPsi, match="lower"):
         ww.solve_complete(g, [1.0, 0.4, 3.0, 0.2])
+
+
+def test_solve_complete_rejects_in_target_at_most_one():
+    # r(v_in) = 0.8 lies inside both bounds (0.5 < 0.8 < 1.5), but a root
+    # has beta_in > 0 only when r(v_in) > 1.
+    g = ww.build_graph(3, [(0, 1), (0, 2), (1, 2)], v_in=2, v_out=0)
+    with pytest.raises(NotInPsi, match="must exceed 1"):
+        ww.solve_complete(g, [1.0, 0.5, 0.8])
 
 
 def test_solve_complete_large_beta_branch():
@@ -565,6 +575,10 @@ def test_solve_reducible_stage_tagged_rejection():
     g = ww.build_graph(4, [(0, 1), (1, 2), (1, 3)], v_in=2, v_out=0)
     with pytest.raises(NotInPsi, match="pendant"):
         ww.solve_reducible(g, [1.0, 2.0, 3.0, 2.5])
+    # On the 4-cycle 1 and 3 are twins (both see 0 and 2), and a twin with
+    # target 0 cannot be in Psi.
+    with pytest.raises(NotInPsi, match=r"twin merge \(1,3\)"):
+        ww.solve_reducible(four_cycle(), [1.0, 0.0, 2.0, 1.0])
 
 
 def test_solve_reducible_base_case_tagged():
@@ -574,10 +588,10 @@ def test_solve_reducible_base_case_tagged():
 
 
 def test_detect_family():
-    assert ww.detect_family(path_instance(4)) == "path"
-    assert ww.detect_family(complete_instance(4)) == "complete"
-    assert ww.detect_family(petersen_instance()) == "other"
-    assert ww.detect_family(single_edge()) == "path"
+    assert detect_family(path_instance(4)) == "path"
+    assert detect_family(complete_instance(4)) == "complete"
+    assert detect_family(petersen_instance()) == "other"
+    assert detect_family(single_edge()) == "path"
 
 
 def test_conjecture_probe_on_reducible_graphs():
