@@ -1,20 +1,23 @@
 """Wall time of each ``walkweights`` CLI command, start-up included.
 
-    python scripts/cli_startup.py [--src DIR] > table.json
+    python scripts/cli_startup.py [--src DIR ...] > table.json
 
 Every subcommand runs on a committed instance in a fresh Python process,
 RUNS times, the commands taking turns so that drift on a shared box
-spreads over all of them.  The script prints one JSON object: per command
-its arguments, the median and all wall times of the process, and the scipy
-subpackages loaded when the command returned.  The ``import`` row imports
-``walkweights.cli`` and runs nothing; ``check hull`` runs ``check`` without
-a target, so it reports the hull dimension and runs no LP.
+spreads over all of them.  The script prints one JSON object with one block
+per source tree: per command its arguments, the median and all wall times
+of the process, and the scipy subpackages loaded when the command returned.
+The ``import`` row imports ``walkweights.cli`` and runs nothing; ``check
+hull`` runs ``check`` without a target, so it reports the hull dimension
+and runs no LP.
 
-``--src`` is the source tree ``walkweights`` is imported from (default: this
-checkout's ``src``), so one script can time two checkouts.  BLAS is pinned
-to one thread, as in the benchmark.  The targets of ``reconstruct``,
-``solve`` and ``check`` are the instances' own fixed-point occupation times,
-written by an untimed ``expect`` run first.
+``--src`` is a source tree ``walkweights`` is imported from (default: this
+checkout's ``src``).  Given more than once, as in ``--src parent/src --src
+src``, the trees take turns on every command, so a comparison of two
+checkouts shares the box's drift.  BLAS is pinned to one thread, as in the
+benchmark.  The targets of ``reconstruct``, ``solve`` and ``check`` are the
+instances' own fixed-point occupation times, written by an untimed
+``expect`` run of the first tree.
 """
 
 from __future__ import annotations
@@ -92,38 +95,42 @@ def run(argv: list[str], env: dict, loaded_file: Path) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--src", type=Path, action="append")
     args = parser.parse_args(argv)
 
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
-    env.update({var: "1" for var in THREAD_VARS})
+    srcs = [str(src.resolve()) for src in args.src or [ROOT / "src"]]
+    envs = {src: dict(os.environ, PYTHONPATH=src) for src in srcs}
+    for env in envs.values():
+        env.update({var: "1" for var in THREAD_VARS})
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         loaded_file = tmp / "loaded.txt"
         for instance, target in (("grid3x3", "grid_tau"), ("p4_uniform", "p4_tau")):
             run(["expect", "--instance", str(INSTANCES / f"{instance}.json"),
                  "--method", "fixedpoint", "--out", str(tmp / f"{target}.json")],
-                env, loaded_file)
+                envs[srcs[0]], loaded_file)
         cmds = commands(tmp)
-        walls: dict[str, list[float]] = {label: [] for label in cmds}
-        table = {}
+        walls = {src: {label: [] for label in cmds} for src in srcs}
+        tables: dict[str, dict] = {src: {} for src in srcs}
         for _ in range(RUNS):
             for label, cmd in cmds.items():
-                walls[label].append(run(cmd, env, loaded_file))
-                table[label] = {
-                    "argv": " ".join(Path(a).name if "/" in a else a for a in cmd),
-                    "scipy_loaded": loaded_file.read_text().split(),
-                }
-        for label, row in table.items():
-            row["wall_s_median"] = round(statistics.median(walls[label]), 4)
-            row["wall_s"] = [round(w, 4) for w in walls[label]]
+                for src in srcs:
+                    walls[src][label].append(run(cmd, envs[src], loaded_file))
+                    tables[src][label] = {
+                        "argv": " ".join(Path(a).name if "/" in a else a for a in cmd),
+                        "scipy_loaded": loaded_file.read_text().split(),
+                    }
+        for src, table in tables.items():
+            for label, row in table.items():
+                row["wall_s_median"] = round(statistics.median(walls[src][label]), 4)
+                row["wall_s"] = [round(w, 4) for w in walls[src][label]]
 
     report = {
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "blas_threads": 1,
         "runs": RUNS,
-        "commands": table,
+        "trees": [{"src": src, "commands": tables[src]} for src in srcs],
     }
     print(json.dumps(report, indent=1))
     return 0

@@ -21,10 +21,10 @@ tau(v_in) >= 1 (the start counts as a visit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import Disconnected, InvalidTarget, SingularSystem, StepLimitExceeded
 from .graph_core import GraphInstance, WeightAssignment, _check_vertex
@@ -129,50 +129,47 @@ def occupation_matrix(g: GraphInstance, w: WeightAssignment) -> np.ndarray:
     all other entries 0.  Requires the graph minus v_out to stay connected,
     otherwise the fixed point is not unique.
     """
-    return _pinned_system(g, w.rho)[0]
+    # M's diagonal is 0, so adding I off (v_out, v_out) restores it exactly.
+    return _pinned_system(g, w.rho) + np.diag(np.arange(g.n) != g.v_out)
 
 
-def _pinned_system(g: GraphInstance, rho: np.ndarray):
-    """M and the pinned A = M - I with its v_out row replaced by e_out, for
-    a raw weight array of any dtype (complex for the complex-step oracle)."""
+def _pinned_system(g: GraphInstance, rho: np.ndarray) -> np.ndarray:
+    """The pinned A = M - I with its v_out row replaced by e_out, for a raw
+    weight array of any dtype (complex for the complex-step oracle)."""
     if not g.out_removed_connected:
         raise Disconnected("graph minus v_out is disconnected")
     n, out = g.n, g.v_out
-    neighbor_mass = g.adjacency @ rho
-    M = g.adjacency * (rho[:, None] / neighbor_mass[None, :])
-    M[out, :] = 0.0
-    M[:, out] = 0.0
-    M[out, out] = 1.0
-    M[g.v_in, out] = 1.0
-    A = M - np.eye(n)
-    A[out, :] = 0.0
+    A = g.adjacency * (rho[:, None] / (g.adjacency @ rho))
+    A[:, out] = 0.0
+    A[out] = 0.0
+    A.flat[:: n + 1] = -1.0  # M's diagonal is 0
     A[out, out] = 1.0
-    return M, A
+    A[g.v_in, out] = 1.0
+    return A
 
 
 def _pinned_fixed_point(g: GraphInstance, rho: np.ndarray):
     """Solve the pinned system A r = e_out for a raw weight array of any
-    dtype; return r and the LU factors of A.
+    dtype; return r and A.
 
-    The factors are returned so that the adjoint gradient can back-solve
-    with A^T at the same point without factoring again.  LAPACK's getrf and
-    getrs, chosen by dtype, cost a seventh of ``scipy.linalg.lu_factor`` and
-    ``lu_solve`` at n = 10, which wrap them in argument checks.
+    A is returned so that the adjoint gradient can solve with A^T at the
+    same point.  A singular or non-finite system raises SingularSystem.
     """
-    M, A = _pinned_system(g, rho)
+    A = _pinned_system(g, rho)
     b = np.zeros(g.n)
     b[g.v_out] = 1.0
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (A,))
-    lu, piv, info = getrf(A)
-    if info > 0:
-        raise SingularSystem(f"pinned fixed-point system is singular, pivot {info - 1}")
-    r = getrs(lu, piv, b)[0]
-    # The residual check is the authority on solution quality.
-    if not np.all(np.isfinite(r)) or np.abs(M @ r - r).max() > 1e-8 * max(
-        1.0, np.abs(r).max()
-    ):
+    try:
+        r = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"pinned fixed-point system is singular: {exc}") from exc
+    # The residual check is the authority on solution quality.  Off the
+    # v_out row, A r is M r - r.  A NaN or inf in r makes ``size`` non-finite.
+    resid = A @ r
+    resid[g.v_out] = 0.0
+    size = float(np.abs(r).max())
+    if not (math.isfinite(size) and np.abs(resid).max() <= 1e-8 * max(1.0, size)):
         raise SingularSystem("fixed-point residual check failed")
-    return r, (lu, piv)
+    return r, A
 
 
 def expected_occupation_fixed_point(

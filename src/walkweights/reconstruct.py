@@ -9,8 +9,7 @@ L(x) = a . x - sum_{v != v_out} r(v) log sum_{z~v} e^{x_z}, a = r - e_in
 where tau(rho) = r.  ``reconstruct_weights`` runs damped Newton on -L, whose
 derivatives need no solve with A.  ``steepest_descent``, the paper's
 projected descent on the weights, takes the cost gradient by the adjoint:
-one transposed back-solve with A's LU factors and a few adjacency mat-vecs
-(``occupation_gradient``).
+one solve with A^T and a few adjacency mat-vecs (``occupation_gradient``).
 
 The paper's Green's-function chain (weight jacobians, the
 normalized-Laplacian derivative, the null-eigenvector derivative, and the
@@ -25,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     Disconnected,
@@ -162,11 +160,11 @@ def cost(g: GraphInstance, w: WeightAssignment, tau_hat) -> float:
 
 
 def _pinned_residual(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
-    """r, the LU factors of A, and r - tau with its v_out entry zeroed."""
-    r, lu = _pinned_fixed_point(g, rho)
+    """r, the pinned matrix A, and r - tau with its v_out entry zeroed."""
+    r, A = _pinned_fixed_point(g, rho)
     resid = r - tau
     resid[g.v_out] = 0.0
-    return r, lu, resid
+    return r, A, resid
 
 
 def weight_jacobians(g: GraphInstance, w: WeightAssignment, x: int) -> DerivativeBundle:
@@ -255,7 +253,7 @@ def _d_tau(
 
 
 def _adjoint_gradient(
-    g: GraphInstance, rho: np.ndarray, r: np.ndarray, lu, resid: np.ndarray
+    g: GraphInstance, rho: np.ndarray, r: np.ndarray, A: np.ndarray, resid: np.ndarray
 ) -> np.ndarray:
     """d(cost)/d rho over all vertices by the adjoint of A r = e_out.
 
@@ -265,8 +263,7 @@ def _adjoint_gradient(
     The v_out entry is meaningless (rho(v_out) is pinned).
     """
     adj, out = g.adjacency, g.v_out
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu[0],))
-    lam = getrs(*lu, 2.0 * resid, trans=1)[0]
+    lam = np.linalg.solve(A.T, 2.0 * resid)
     s = adj @ rho
     q = r / s
     q[out] = 0.0
@@ -282,11 +279,11 @@ def occupation_gradient(
     """The cost's gradient over V minus v_out, in vertex order, as
     ``complex_step_gradient`` returns it; the cost itself is ``cost``.
 
-    ``mode="adjoint"`` back-solves the transposed pinned fixed-point system
-    with the LU factors of the forward solve.  ``mode="green"`` walks the
-    paper's Green's-function chain one free vertex at a time; the residual
-    itself still uses the fixed-point occupation vector (the two forward
-    routes agree to well below gradient tolerances).
+    ``mode="adjoint"`` solves the transposed pinned fixed-point system with
+    the forward solve's matrix A.  ``mode="green"`` walks the paper's
+    Green's-function chain one free vertex at a time; the residual itself
+    still uses the fixed-point occupation vector (the two forward routes
+    agree to well below gradient tolerances).
 
     Both routes lose digits to rounding as the pinned system A r = e_out
     grows ill-conditioned, and no fixed bound holds for either.  With every
@@ -302,9 +299,9 @@ def occupation_gradient(
     tau = _target_array(tau_hat, g.n)
     _check_full_support(g, tau)
     free = [v for v in range(g.n) if v != g.v_out]
-    r, lu, resid = _pinned_residual(g, w.rho, tau)
+    r, A, resid = _pinned_residual(g, w.rho, tau)
     if mode == "adjoint":
-        return _adjoint_gradient(g, w.rho, r, lu, resid)[free]
+        return _adjoint_gradient(g, w.rho, r, A, resid)[free]
     spec = spectral_data(g, w)
     return np.array([
         2.0 * float(resid @ _d_tau(g, w, spec, weight_jacobians(g, w, x)))
@@ -400,8 +397,8 @@ def _trial(g: GraphInstance, rho: np.ndarray, tau: np.ndarray):
     system there is singular, so the trial is rejected."""
     if np.all(np.isfinite(rho) & (rho > 0)):
         try:
-            r, lu, resid = _pinned_residual(g, rho, tau)
-            return float(resid @ resid), (r, lu, resid)
+            r, A, resid = _pinned_residual(g, rho, tau)
+            return float(resid @ resid), (r, A, resid)
         except SingularSystem:
             pass
     return float("inf"), None
@@ -483,6 +480,7 @@ def reconstruct_weights(
     if sub.bipartite:
         u[sub.bipartition[free] < 0] = 1.0
         u /= np.sqrt(u.sum())
+    uu = np.outer(u, u)
     log: list[IterationRecord] = []
 
     def neg_log_likelihood(x):
@@ -499,13 +497,15 @@ def reconstruct_weights(
             return _result(sub, support, rho, log, it, theta, "converged")
         grad, hess = _likelihood_derivatives(adj, to_out, r, a, rho[free])
         grad -= u * (u @ grad)
-        (gesv,) = scipy.linalg.get_lapack_funcs(("gesv",), (hess,))
-        dx, info = gesv(hess + np.outer(u, u), -grad)[2:]
+        try:
+            dx = np.linalg.solve(hess + uu, -grad)
+        except np.linalg.LinAlgError:
+            dx = np.full_like(grad, np.nan)  # no step: t = 0 below
         scale = _NEWTON_MAX_LOG_STEP / max(_NEWTON_MAX_LOG_STEP, np.abs(dx).max())
         dx *= scale
         slope = float(grad @ dx)
         full = -slope < _NEWTON_FULL_STEP * abs(f)
-        t = 0.0 if info or not np.isfinite(slope) else 1.0
+        t = 1.0 if np.isfinite(slope) else 0.0
         while True:
             if t < _MIN_STEP:
                 raise NoDescent(
@@ -557,7 +557,7 @@ def steepest_descent(
     sub, tau, support, rho = _start(g, tau_hat, rho0)
     free = [v for v in range(sub.n) if v != sub.v_out]
     log: list[IterationRecord] = []
-    r, lu, resid = _pinned_residual(sub, rho, tau)
+    r, A, resid = _pinned_residual(sub, rho, tau)
     theta = float(resid @ resid)
     eta_prev: float | None = None
     prev_free: np.ndarray | None = None
@@ -566,7 +566,7 @@ def steepest_descent(
     for it in range(cfg.max_iters):
         if theta <= cfg.cost_tol:
             return _result(sub, support, rho, log, it, theta, "converged")
-        grad = _adjoint_gradient(sub, rho, r, lu, resid)[free]
+        grad = _adjoint_gradient(sub, rho, r, A, resid)[free]
         gg = float(grad @ grad)
         eta = None
         if prev_free is not None:
@@ -595,7 +595,7 @@ def steepest_descent(
                 break
             eta *= _SHRINK
         log.append(IterationRecord(it, theta, eta))
-        rho, (r, lu, resid), theta = cand, state, trial
+        rho, (r, A, resid), theta = cand, state, trial
         eta_prev = eta
 
     status = "converged" if theta <= cfg.cost_tol else "max_iters"

@@ -1,5 +1,7 @@
 """Import boundaries: scipy.linalg, scipy.optimize and multiprocessing load
-only on the paths that call them, so a Monte Carlo run starts without them."""
+only on the paths that call them.  The Monte Carlo, fixed-point, Newton and
+closed-form routes run on numpy alone; the Green's route loads scipy.linalg
+(``eigh``) and the relint LP scipy.optimize."""
 
 import os
 import subprocess
@@ -28,6 +30,11 @@ ww.empirical_occupation(g, w, 500, seed=7)
 print(loaded())
 ww.reconstruct_weights(g, [1.0, 2.0, 3.0, 2.0])
 print(loaded())
+ww.expected_occupation_fixed_point(g, w)
+ww.solve_reducible(g, [1.0, 2.0, 3.0, 2.0])
+print(loaded())
+ww.expected_occupation_green(g, w)
+print(loaded())
 ww.relint_membership(g, [1.0, 2.0, 3.0, 2.0])
 print(loaded())
 """
@@ -41,6 +48,8 @@ def test_heavy_modules_load_on_first_use():
         [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out == [
+        "[]",
+        "[]",
         "[]",
         "['scipy.linalg']",
         "['scipy.linalg', 'scipy.optimize']",

@@ -1,6 +1,8 @@
 """Forward maps: fixed point, Green's formula, hitting times, Monte Carlo."""
 
+import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from synth import (
     random_rho,
     random_tree,
 )
-from walkweights.errors import Disconnected, StepLimitExceeded
+from walkweights.errors import Disconnected, SingularSystem, StepLimitExceeded
 from walkweights.graph_core import transition_matrix
 from walkweights.occupation import (
     _chunk_rng,
     _neighbour_tables,
+    _pinned_fixed_point,
     _simulate_chunk,
     make_walk_trace,
 )
@@ -89,6 +92,109 @@ def test_fixed_point_matches_complete_graph_formulas():
             if j in (g.v_out, g.v_in):
                 continue
             assert tau[j] == pytest.approx(beta[j] * (1 - beta[j]) / b1, rel=1e-12)
+
+
+def exact_pinned_fixed_point(g, rho) -> list[Fraction]:
+    """r with A r = e_out, A the pinned system at the float weights ``rho``,
+    by Gaussian elimination over Fraction(rho(v)): no rounding anywhere."""
+    n, out = g.n, g.v_out
+    q = [Fraction(float(x)) for x in rho]
+    s = [sum(q[z] for z in g.neighbors[u]) for u in range(n)]
+    A = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        if u == out:
+            continue
+        A[u][u] = Fraction(-1)
+        for v in g.neighbors[u]:
+            if v != out:
+                A[v][u] = q[v] / s[u]
+    A[out][out] = A[g.v_in][out] = Fraction(1)
+    b = [Fraction(int(v == out)) for v in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if A[i][k] != 0)
+        A[k], A[p], b[k], b[p] = A[p], A[k], b[p], b[k]
+        for i in range(k + 1, n):
+            f = A[i][k] / A[k][k]
+            if f:
+                A[i] = [a - f * c for a, c in zip(A[i], A[k])]
+                b[i] -= f * b[k]
+    r = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        r[k] = (b[k] - sum(A[k][j] * r[j] for j in range(k + 1, n))) / A[k][k]
+    return r
+
+
+def test_exact_oracle_examples():
+    assert exact_pinned_fixed_point(path_instance(3), [1.0, 1.0, 1.0]) == [1, 2, 2]
+    r = exact_pinned_fixed_point(complete_instance(3), [1.0, 1.0, 1.0])
+    assert r == [1, Fraction(4, 3), Fraction(2, 3)]
+
+
+def _ill_conditioned_cases():
+    for n in range(6, 11):
+        yield path_instance(n), 3.0 ** np.arange(n)
+    rng = np.random.default_rng(2009)
+    for _ in range(30):
+        g = random_tree(int(rng.integers(3, 8)), rng)
+        rho = 10.0 ** rng.uniform(-2.0, 2.0, g.n)
+        rho[g.v_out] = 1.0
+        yield g, rho
+
+
+def test_fixed_point_within_conditioning_bound_of_exact_oracle():
+    """The float map rho -> r against exact rationals at the same weights.
+
+    Write A for the exact pinned matrix at the float weights, u = eps / 2
+    for the unit roundoff, gamma_k = k u / (1 - k u), and take every norm
+    as the infinity norm.  The float map errs in two places.
+
+    * Assembly.  Each transient entry rho(v) / s(y) sums at most n - 1
+      positive weights and divides once, so the float matrix is A + F with
+      |F| <= gamma_n |A| entrywise; the entries 0, 1 and -1 are exact.
+      Hence ||F|| <= n u ||A|| to first order.
+    * Solve.  LU with partial pivoting returns r_hat with
+      (A + F + E) r_hat = e_out and |E| <= gamma_3n |L||U| (Higham,
+      Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 9.4).
+      A is diagonally dominant by columns: a transient column holds -1 on
+      the diagonal and weights rho(v) / s(y) summing to at most 1, and the
+      v_out column holds 1 and 1.  So partial pivoting swaps no rows and
+      the growth factor is at most 2 (Wilkinson; ibid., section 9.5), and
+      we take ||E|| <= 2 n u ||A||.  The rigorous bound on || |L||U| ||
+      carries a further factor of order n, which rounding does not reach
+      in practice.
+
+    With beta = 3 n u the relative backward error of the whole map and
+    kappa = ||A|| ||A^-1||, the relative forward error is at most
+    kappa beta / (1 - kappa beta), below 4 n u kappa = 2 n kappa eps while
+    kappa beta <= 1/4.  The test asserts that bound, with kappa from
+    ``np.linalg.cond`` of the float matrix (equal to first order).
+    """
+    eps = np.finfo(float).eps
+    errors = []
+    for g, rho in _ill_conditioned_cases():
+        r_hat, A = _pinned_fixed_point(g, rho)
+        r = exact_pinned_fixed_point(g, rho)
+        kappa = np.linalg.cond(A, np.inf)
+        assert 3 * g.n * kappa * eps / 2 <= 0.25
+        miss = max(abs(Fraction(x) - y) for x, y in zip(r_hat.tolist(), r))
+        err = float(miss / max(r))
+        assert err <= 2 * g.n * kappa * eps, (g.n, kappa, err)
+        errors.append(err)
+    assert max(errors) > 0.0  # the rounding shows: the oracle is not the float map
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_raises_singular_system(bad):
+    g = path_instance(4)
+    rho = np.array([1.0, 2.0, bad, 0.5])
+    with pytest.raises(SingularSystem):
+        _pinned_fixed_point(g, rho)
+    w = dataclasses.replace(ww.derived_weights(g, np.ones(4)), rho=rho)
+    with pytest.raises(SingularSystem):
+        ww.expected_occupation_fixed_point(g, w)
+    with pytest.raises(SingularSystem):
+        ww.cost(g, w, [1.0, 2.0, 2.0, 2.0])
 
 
 def test_green_formula_examples():
