@@ -114,10 +114,7 @@ def _cmd_expect(args) -> int:
     elif args.method == "montecarlo":
         if args.seed is None:
             raise ValueError("--seed is required for method=montecarlo")
-        vec = occupation.empirical_occupation(
-            g, w, args.N, args.seed, workers=args.workers,
-            chunk_size=occupation.DEFAULT_CHUNK,
-        )
+        vec = occupation.empirical_occupation(g, w, args.N, args.seed, workers=args.workers)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")
 

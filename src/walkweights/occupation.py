@@ -98,11 +98,6 @@ class WalkTrace:
     vertices: tuple[int, ...]
     trace: np.ndarray
 
-    @property
-    def length(self) -> int:
-        """Number of steps (edges) in the walk."""
-        return len(self.vertices) - 1
-
 
 def make_walk_trace(g: GraphInstance, vertices) -> WalkTrace:
     """Build a WalkTrace, validating that every vertex id is in range and
@@ -161,15 +156,24 @@ def _pinned_fixed_point(g: GraphInstance, rho: np.ndarray):
     try:
         r = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"pinned fixed-point system is singular: {exc}") from exc
+        raise _singular(rho, f"pinned fixed-point system is singular: {exc}") from exc
     # The residual check is the authority on solution quality.  Off the
     # v_out row, A r is M r - r.  A NaN or inf in r makes ``size`` non-finite.
     resid = A @ r
     resid[g.v_out] = 0.0
     size = float(np.abs(r).max())
     if not (math.isfinite(size) and np.abs(resid).max() <= 1e-8 * max(1.0, size)):
-        raise SingularSystem("fixed-point residual check failed")
+        raise _singular(rho, "fixed-point residual check failed")
     return r, A
+
+
+def _singular(rho: np.ndarray, message: str) -> SingularSystem:
+    """SingularSystem naming the first non-finite weight, else ``message``.
+    Only a failed solve calls it, so valid weights pay nothing for the test."""
+    bad = np.flatnonzero(~np.isfinite(rho))
+    if bad.size:
+        message = f"rho[{bad[0]}] = {rho[bad[0]]} is not finite"
+    return SingularSystem(message)
 
 
 def expected_occupation_fixed_point(

@@ -103,7 +103,6 @@ class DerivativeBundle:
     its null eigenvector phi0 and the projector phi0 phi0*.  They need no
     spectral data; ``green_derivative`` carries them to dG."""
 
-    vertex: int
     d_tilde_rho: np.ndarray
     d_vol: float
     d_norm_laplacian: np.ndarray
@@ -196,7 +195,6 @@ def weight_jacobians(g: GraphInstance, w: WeightAssignment, x: int) -> Derivativ
     d_projector = np.outer(d_phi0, phi0) + np.outer(phi0, d_phi0)
 
     return DerivativeBundle(
-        vertex=x,
         d_tilde_rho=d_tilde,
         d_vol=d_vol,
         d_norm_laplacian=dL,

@@ -427,9 +427,9 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
     Greedily strips pendant vertices (deepest from v_out first), merges
     twin pairs when no pendant remains, solves the residual path or
     complete graph in closed form, then replays the reductions in reverse.
-    Covers all trees (which strip down to a single edge); a path or a
-    complete graph goes straight to its closed form.  Raises NotInPsi
-    naming the failing stage, or Irreducible when stuck.
+    Covers all trees: they strip down to the v_out..v_in path, which the
+    path closed form solves.  Raises NotInPsi naming the failing stage, or
+    Irreducible when stuck.
     """
     r = _target_array(r, g.n)
     adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
@@ -437,17 +437,13 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
     records: list[tuple] = []
 
     while True:
-        kind = _family(adj, g)
-        if kind != "other":
-            break
-        pendants = [
-            u for u in adj if len(adj[u]) == 1 and u not in (g.v_in, g.v_out)
-        ]
-        if pendants:
-            # Neither reduction changes a survivor's distance to v_out: a
-            # pendant lies on no shortest path, and a merged twin's paths
-            # also run through its partner.
-            u = max(pendants, key=lambda t: (g.distances[t], t))
+        # Neither reduction changes a survivor's distance d to v_out: a pendant
+        # lies on no shortest path, and a merged twin's paths run through its
+        # partner.  Stripping u can make only its neighbour v, d(v) = d(u) - 1,
+        # a pendant, so each strip of this pass takes the deepest pendant left.
+        for u in sorted(adj, key=lambda t: (g.distances[t], t), reverse=True):
+            if len(adj[u]) != 1 or u in (g.v_in, g.v_out):
+                continue
             (v,) = adj[u]
             alpha = rr[u]
             if not alpha > 0:
@@ -462,7 +458,6 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
             del rr[u]
             adj[v].discard(u)
             del adj[u]
-            continue
         # Twins share a neighbourhood, so they are never adjacent.
         groups: dict[frozenset[int], list[int]] = {}
         for v in sorted(adj):
@@ -470,10 +465,7 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
                 groups.setdefault(frozenset(adj[v]), []).append(v)
         twins = [grp[:2] for grp in groups.values() if len(grp) > 1]
         if not twins:
-            raise Irreducible(
-                "residual graph has no pendant, no twins, and is neither a "
-                "path (v_out..v_in) nor complete"
-            )
+            break
         v, w_vtx = min(twins)
         if not (rr[v] > 0 and rr[w_vtx] > 0):
             raise NotInPsi(
@@ -486,6 +478,14 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
         for z in adj[w_vtx]:
             adj[z].discard(w_vtx)
         del adj[w_vtx]
+
+    # A path or a complete graph has no non-terminal pendant and no twins.
+    kind = _family(adj, g)
+    if kind == "other":
+        raise Irreducible(
+            "residual graph has no pendant, no twins, and is neither a "
+            "path (v_out..v_in) nor complete"
+        )
 
     # Both reductions only delete vertices, so the residual graph is the
     # subgraph of g induced on the survivors.  With no reduction it is g,

@@ -188,12 +188,12 @@ def test_fixed_point_within_conditioning_bound_of_exact_oracle():
 def test_non_finite_weight_raises_singular_system(bad):
     g = path_instance(4)
     rho = np.array([1.0, 2.0, bad, 0.5])
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match=r"rho\[2\] = .* is not finite"):
         _pinned_fixed_point(g, rho)
     w = dataclasses.replace(ww.derived_weights(g, np.ones(4)), rho=rho)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match=r"rho\[2\] = .* is not finite"):
         ww.expected_occupation_fixed_point(g, w)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match=r"rho\[2\] = .* is not finite"):
         ww.cost(g, w, [1.0, 2.0, 2.0, 2.0])
 
 

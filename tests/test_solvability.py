@@ -16,6 +16,7 @@ from synth import (
     random_tree,
     tau_of,
 )
+from walkweights import solvability
 from walkweights.errors import CapTooSmall, InvalidTarget, Irreducible, NotInPsi
 from walkweights.occupation import make_walk_trace
 from walkweights.solvability import detect_family, enumerate_proper_walks, path_decompose
@@ -482,12 +483,29 @@ def test_solve_reducible_four_cycle_example():
 
 def test_solve_reducible_trees_round_trip():
     rng = np.random.default_rng(34)
-    for _ in range(10):
-        n = int(rng.integers(3, 11))
+    for k in range(11):
+        n = int(rng.integers(3, 11)) if k < 10 else 400
         g = random_tree(n, rng)
         r = tau_of(g, random_rho(g, rng))
         w = ww.solve_reducible(g, r)
         assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
+
+
+def test_solve_reducible_tests_the_base_case_once(monkeypatch):
+    # Stripping all pendants before the base-case test leaves one call for
+    # that test and one for path_decompose, however many pendants there are.
+    calls = []
+    path_order = solvability._path_order
+
+    def counted(adj, g):
+        calls.append(len(adj))
+        return path_order(adj, g)
+
+    monkeypatch.setattr(solvability, "_path_order", counted)
+    rng = np.random.default_rng(37)
+    g = random_tree(60, rng)
+    ww.solve_reducible(g, tau_of(g, random_rho(g, rng)))
+    assert len(calls) <= 2, calls
 
 
 def test_solve_reducible_delegates_to_complete():
