@@ -9,7 +9,7 @@ per source tree: per command its arguments, the median and all wall times
 of the process, and the scipy subpackages loaded when the command returned.
 The ``import`` row imports ``walkweights.cli`` and runs nothing; ``check
 hull`` runs ``check`` without a target, so it reports the hull dimension
-and runs no LP.
+and runs no relint test.
 
 ``--src`` is a source tree ``walkweights`` is imported from (default: this
 checkout's ``src``).  Given more than once, as in ``--src parent/src --src

@@ -1,4 +1,5 @@
-"""Fingerprint of ``solve_reducible`` on every graph with at most 7 vertices.
+"""Fingerprint of ``solve_reducible`` and ``relint_membership`` on every
+graph with at most 7 vertices.
 
     python scripts/solve_sweep.py [--src DIR ...] > sweep.json
 
@@ -14,9 +15,15 @@ For each source tree the script prints the count of each outcome (``ok``,
 or the name of the raised error's type) and one SHA-256 over the outcomes
 in order, image target first: the bytes of the solved rho, or the error's
 type and message.  Equal digests mean bit-identical solver output.  It
-also prints the time spent inside ``solve_reducible`` and the workers'
-wall time, start-up included.  On 2 cores one tree takes about 14 s: 5 s
-to build the targets and 7 s to solve them.
+does the same for ``relint_membership``'s statuses (``relint_counts``,
+``relint_sha256``: equal digests mean equal verdicts) and prints the time
+spent inside each function and the workers' wall time, start-up
+included.  With two trees it also prints the largest difference between
+their relint certificates, relative to max(1, max r), over the targets
+both place in the hull.  On 2 cores one tree takes about 25 s: 5 s to
+build the targets, then 19 s of workers, 3 s of them inside
+``solve_reducible`` and 12 s inside ``relint_membership``.  A tree whose
+relint is the HiGHS LP spends 166 s inside it.
 
 ``--src`` is a source tree ``walkweights`` is imported from (default: this
 checkout's ``src``).  Given more than once, as in ``--src parent/src --src
@@ -55,15 +62,16 @@ THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-# Solves the pairs argv[2]:argv[3] of the pickled pair list in the file
-# argv[1] and pickles (outcomes, seconds inside solve_reducible) to stdout;
-# an outcome is (label, bytes).
+# Solves and relint-tests the pairs argv[2]:argv[3] of the pickled pair
+# list in the file argv[1] and pickles (outcomes, verdicts, seconds inside
+# solve_reducible, seconds inside relint_membership) to stdout; an outcome
+# is (label, bytes), a verdict (status, certificate).
 WORKER = """
 import pickle, sys, time
 import walkweights as ww
 with open(sys.argv[1], "rb") as fh:
     pairs = pickle.load(fh)[int(sys.argv[2]):int(sys.argv[3])]
-outcomes, solve_s = [], 0.0
+outcomes, verdicts, solve_s, relint_s = [], [], 0.0, 0.0
 for n, edges, v_in, v_out, targets in pairs:
     g = ww.build_graph(n, edges, v_in=v_in, v_out=v_out)
     for target in targets:
@@ -74,7 +82,11 @@ for n, edges, v_in, v_out, targets in pairs:
             out = (type(exc).__name__, f"{type(exc).__name__}: {exc}".encode())
         solve_s += time.perf_counter() - start
         outcomes.append(out)
-pickle.dump((outcomes, solve_s), sys.stdout.buffer)
+        start = time.perf_counter()
+        res = ww.relint_membership(g, target)
+        relint_s += time.perf_counter() - start
+        verdicts.append((res.status, res.certificate))
+pickle.dump((outcomes, verdicts, solve_s, relint_s), sys.stdout.buffer)
 """
 
 
@@ -117,8 +129,12 @@ def main(argv=None) -> int:
     pairs = build_pairs(ww)
     bounds = np.linspace(0, len(pairs), CHUNKS + 1).astype(int)
     digests = {src: hashlib.sha256() for src in srcs}
+    relint_digests = {src: hashlib.sha256() for src in srcs}
     counts = {src: Counter() for src in srcs}
+    relint_counts = {src: Counter() for src in srcs}
+    certificates = {src: [] for src in srcs}
     solve_s = dict.fromkeys(srcs, 0.0)
+    relint_s = dict.fromkeys(srcs, 0.0)
     wall_s = dict.fromkeys(srcs, 0.0)
     with tempfile.TemporaryDirectory() as tmp_name:
         pair_file = Path(tmp_name) / "pairs.pkl"
@@ -131,11 +147,16 @@ def main(argv=None) -> int:
                     env=envs[src], capture_output=True, check=True,
                 )
                 wall_s[src] += time.perf_counter() - start
-                outcomes, seconds = pickle.loads(proc.stdout)
+                outcomes, verdicts, seconds, relint_seconds = pickle.loads(proc.stdout)
                 solve_s[src] += seconds
+                relint_s[src] += relint_seconds
                 for label, payload in outcomes:
                     counts[src][label] += 1
                     digests[src].update(payload)
+                for status, certificate in verdicts:
+                    relint_counts[src][status] += 1
+                    relint_digests[src].update(status.encode() + b"\n")
+                    certificates[src].append(certificate)
 
     report = {
         "python": platform.python_version(),
@@ -149,12 +170,22 @@ def main(argv=None) -> int:
                 "src": src,
                 "counts": dict(sorted(counts[src].items())),
                 "sha256": digests[src].hexdigest(),
+                "relint_counts": dict(sorted(relint_counts[src].items())),
+                "relint_sha256": relint_digests[src].hexdigest(),
                 "solve_s": round(solve_s[src], 3),
+                "relint_s": round(relint_s[src], 3),
                 "wall_s": round(wall_s[src], 3),
             }
             for src in srcs
         ],
     }
+    if len(srcs) > 1:
+        # Targets in the order the workers saw them; NaN (outside the hull)
+        # drops out of the maximum.
+        scale = np.array([max(1.0, np.abs(t).max()) for *_, ts in pairs for t in ts])
+        cert = np.array([certificates[src] for src in srcs])
+        gap = np.abs(cert - cert[0]).max(axis=0) / scale
+        report["relint_certificate_max_rel_diff"] = float(np.nanmax(gap, initial=0.0))
     print(json.dumps(report, indent=1))
     return 0
 

@@ -3,13 +3,14 @@
 A target r (with r(v_out) = 1) is solvable when strictly positive weights
 reproduce it.  Necessarily r lies in the relative interior of the convex
 hull of proper-walk traces.  This module decides that membership exactly
-with an arc-flow LP, gives the hull's dimension in closed form from a BFS
-(the dimension lemma, see ``hull_dimension``), and constructs exact
-solutions on paths, complete graphs, and anything that pendant stripping
-plus twin merging reduces to one of those base cases (all trees included).
-Those shapes are read off degrees, neighbour sets and the BFS distances to
-v_out that every ``GraphInstance`` holds; the LP is the module's only
-numerical decision.
+with a max flow (see ``relint_membership``), gives the hull's dimension in
+closed form from a BFS (the dimension lemma, see ``hull_dimension``), and
+constructs exact solutions on paths, complete graphs, and anything that
+pendant stripping plus twin merging reduces to one of those base cases
+(all trees included).  Those shapes are read off degrees, neighbour sets
+and the BFS distances to v_out that every ``GraphInstance`` holds; the
+flow's comparisons with zero, under one tolerance derived from their
+rounding, are the module's only numerical decision.
 
 The arc-flow system: a proper walk's trace is e_{v_in} plus the arrivals of
 the arcs it crosses, and by flow decomposition into one v_in-v_out path
@@ -17,7 +18,10 @@ plus cycles (Ahuja, Magnanti & Orlin, *Network Flows*, 3.5) the closed
 trace hull is the image of the unit v_in-v_out flows on the arcs a proper
 walk can use.  Every such arc lies on some proper walk, so the relative
 interior of the hull is the image of the strictly positive flows
-(Rockafellar, *Convex Analysis*, Thms 6.3 and 6.6).
+(Rockafellar, *Convex Analysis*, Thms 6.3 and 6.6).  Whether some flow
+keeps every arc at or above t is a transportation problem, so Gale's
+supply-demand theorem turns membership into a sequence of max flows, and
+Newton's method over their min cuts finds the largest such t exactly.
 
 Existence (a proof sketch of the paper's conjecture; tested on every graph
 with n <= 5).  With x = log rho, walks with mean occupation vector r have
@@ -35,12 +39,13 @@ whose graph minus v_out is connected the solvable targets are exactly the
 relative interior.  The Bradley-Terry analogue is Zermelo's and Ford's
 existence condition (Ford 1957, *Amer. Math. Monthly* 64).
 
-The LP solver, ``scipy.optimize.linprog``, is imported on the first
-membership test, so importing this module loads no scipy submodule.
+Apart from the ``linprog`` wrapper, which no code here calls, this module
+loads no scipy submodule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,22 +126,6 @@ def enumerate_proper_walks(g: GraphInstance, length_cap: int) -> list[WalkTrace]
 # -- arc-flow hull ------------------------------------------------------------
 
 
-def _arc_incidence(g: GraphInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(head, tail): n x arcs incidence of the arcs a proper walk can use.
-
-    Those are the arcs (u, v) leaving every u that a walk reaches from v_in
-    without passing v_out.
-    """
-    reach = sorted(_bfs_depths(g.neighbors, g.v_in, skip=g.v_out))
-    arcs = np.array([(u, v) for u in reach for v in g.neighbors[u]])
-    cols = np.arange(len(arcs))
-    head = np.zeros((g.n, len(arcs)))
-    tail = np.zeros((g.n, len(arcs)))
-    head[arcs[:, 1], cols] = 1.0
-    tail[arcs[:, 0], cols] = 1.0
-    return head, tail
-
-
 def hull_dimension(g: GraphInstance) -> int:
     """Affine dimension of the proper-walk trace hull: |R| - [R + v_out
     induces a bipartite graph], R the vertices a walk reaches from v_in
@@ -162,7 +151,12 @@ def hull_dimension(g: GraphInstance) -> int:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use."""
+    """``scipy.optimize.linprog``, imported on first use.
+
+    No library code calls it; relint runs on a max flow.  It stays as the
+    name the benchmark's tracer (``perfbench/tracing.py``) wraps, and the
+    tier-1 LP oracle for ``relint_membership`` calls it.
+    """
     from scipy.optimize import linprog
 
     return linprog(*args, **kwargs)
@@ -187,34 +181,143 @@ class RelintResult:
         return self.member
 
 
+def _max_flow(adj, to, res, sink: int) -> list[int]:
+    """Dinic's max flow from node 0 to ``sink``.
+
+    ``adj[x]`` lists the edges leaving node x, ``to[e]`` is edge e's head,
+    and ``res[e]``, its residual capacity, is augmented in place; edge e's
+    reverse is e ^ 1.  Returns the BFS levels of the final residual graph:
+    the nodes of level >= 0 are the source side of a minimum cut.
+    """
+    while True:
+        level = [-1] * len(adj)
+        level[0] = 0
+        queue = [0]
+        for x in queue:
+            for e in adj[x]:
+                if level[to[e]] < 0 and res[e] > 0:
+                    level[to[e]] = level[x] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            return level
+        # A blocking flow by iterative DFS along level-raising edges; a dead
+        # end leaves the level graph.
+        ptr = [0] * len(adj)
+        path: list[int] = []
+        x = 0
+        while True:
+            if x == sink:
+                push = min(res[e] for e in path)
+                for e in path:
+                    res[e] -= push
+                    res[e ^ 1] += push
+                # A bottleneck edge's residual drops to exactly 0 (x - x is
+                # exact): resume at the tail of the first one.
+                del path[next(i for i, e in enumerate(path) if res[e] == 0):]
+                x = to[path[-1]] if path else 0
+                continue
+            edges, up = adj[x], level[x] + 1
+            for i in range(ptr[x], len(edges)):
+                e = edges[i]
+                if level[to[e]] == up and res[e] > 0:
+                    ptr[x] = i
+                    path.append(e)
+                    x = to[e]
+                    break
+            else:
+                if not path:
+                    break
+                level[x] = -1
+                x = to[path.pop() ^ 1]
+
+
 def relint_membership(g: GraphInstance, r) -> RelintResult:
     """Is r in the relative interior of the proper-walk trace hull?
 
-    Maximizes the smallest flow t over flows x on the usable arcs with
-    arrivals(v) = r(v) - [v = v_in] at every vertex and departures(v) = r(v)
-    at every v != v_out.  Those equations force r(v_out) = 1 and r = 0 off
-    the vertices a walk can reach, so no other check is needed.
+    The certificate is the largest t such that a flow x >= t on the usable
+    arcs has arrivals(v) = a(v) = r(v) - [v = v_in] at every vertex and
+    departures(u) = r(u) at every u != v_out.  With x = y + t this is a
+    transportation problem in y >= 0: each u in R (the vertices a walk
+    reaches before v_out) supplies r(u) - t deg(u), each v demands
+    a(v) - t k(v), k(v) the number of v's neighbours in R, and the arcs are
+    uncapacitated.  By Gale's supply-demand theorem (Gale 1957, *Pacific J.
+    Math.* 7) it is feasible exactly when supply and demand balance, none is
+    negative, and a max flow saturates the supplies; a minimum cut's source
+    side S then has slack a(N(S)) - r(S) - t (k(N(S)) - deg(S)) >= 0.
+
+    Newton's method over min cuts (Dinkelbach 1967; Radzik 1992, "Newton's
+    method for fractional combinatorial optimization") finds t*: from t0,
+    the largest t with no negative supply or demand, each infeasible t
+    moves to the root t = (a(N(S)) - r(S)) / (k(N(S)) - deg(S)) of its
+    min cut's slack, or to 0 if that root is negative.  The denominator is
+    an integer in 0..arcs that falls strictly from step to step, so at most
+    arcs + 2 flows run, each warm started: capacities only grow as t falls,
+    so the last flow stays feasible.  A deficient cut with zero denominator
+    (such as a missed parity hyperplane of a bipartite R + v_out) or at
+    t = 0 puts r outside the hull.
+
+    Every quantity compared with zero (r(v_out) - 1, an entry of a, a cut's
+    slack) and every flow value is a sum of at most 2|E| terms whose
+    magnitudes add up to at most n max(1, max|r|), so its rounding error is
+    at most 2|E| u n max(1, max|r|) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 4.2).  The comparisons allow twice
+    that: arcs n eps max(1, max|r|), with eps = 2u and the count of usable
+    arcs, at most 2|E|.
     """
     r = _target_array(r, g.n)
-    head, tail = _arc_incidence(g)
-    keep = np.arange(g.n) != g.v_out
-    flow = np.vstack([head, tail[keep]])
-    arrivals = r.copy()
-    arrivals[g.v_in] -= 1.0
-    # Variables (y, t) >= 0 with x = y + t: maximize t subject to
-    # flow @ y + t * flow @ 1 = b.
-    A_eq = np.hstack([flow, flow.sum(axis=1, keepdims=True)])
-    c = np.zeros(A_eq.shape[1])
-    c[-1] = -1.0
-    res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([arrivals, r[keep]]), method="highs")
-    if res.status == 2:
-        return RelintResult(False, "outside_hull", float("nan"))
-    if res.status != 0:  # pragma: no cover - solver trouble
-        raise RuntimeError(f"relint LP failed: {res.message}")
-    t_star = float(res.x[-1])
-    if t_star > RELINT_CERT_TOL:
-        return RelintResult(True, "relative_interior", t_star)
-    return RelintResult(False, "boundary", t_star)
+    reach = sorted(_bfs_depths(g.neighbors, g.v_in, skip=g.v_out))
+    a = r.tolist()
+    a[g.v_in] -= 1.0
+    k_in = [0] * g.n
+    for u in reach:
+        for v in g.neighbors[u]:
+            k_in[v] += 1
+    heads = [v for v in range(g.n) if k_in[v]]
+    arcs = sum(k_in)
+    tol = arcs * g.n * np.finfo(float).eps * max(1.0, float(np.abs(r).max()))
+    outside = RelintResult(False, "outside_hull", float("nan"))
+    # Balance, no negative demand, and no demand where no arc arrives.
+    if abs(r[g.v_out] - 1.0) > tol or any(
+        x < -tol or (x > tol and not k) for x, k in zip(a, k_in)
+    ):
+        return outside
+
+    # Nodes: 0 the source, 1..|R| the departures, then the heads, then the
+    # sink; edge 2j feeds supply or demand j, edge 2j + 1 is its reverse.
+    base = [float(r[u]) for u in reach] + [a[v] for v in heads]
+    count = [len(g.neighbors[u]) for u in reach] + [k_in[v] for v in heads]
+    sign = [-1] * len(reach) + [1] * len(heads)
+    sink = len(base) + 1
+    node = {v: len(reach) + 1 + j for j, v in enumerate(heads)}
+    links = [(0, j + 1) for j in range(len(reach))]
+    links += [(node[v], sink) for v in heads]
+    links += [(j + 1, node[v]) for j, u in enumerate(reach) for v in g.neighbors[u]]
+    adj: list[list[int]] = [[] for _ in range(sink + 1)]
+    to: list[int] = []
+    for x, y in links:
+        adj[x].append(len(to))
+        adj[y].append(len(to) + 1)
+        to += [y, x]
+    res = [0.0] * (2 * len(base)) + [math.inf, 0.0] * arcs
+
+    t = max(min(b / k for b, k in zip(base, count)), 0.0)
+    for _ in range(arcs + 2):
+        for j, (b, k) in enumerate(zip(base, count)):
+            res[2 * j] = max(b - t * k - res[2 * j + 1], 0.0)
+        level = _max_flow(adj, to, res, sink)
+        side = [j for j in range(len(base)) if level[j + 1] >= 0]
+        c = sum(sign[j] * base[j] for j in side)
+        k = sum(sign[j] * count[j] for j in side)
+        if c - t * k >= -tol:
+            break
+        if k == 0 or t == 0.0:
+            return outside
+        t = max(c / k, 0.0)
+    else:  # pragma: no cover - the strictly falling denominator forbids it
+        raise RuntimeError("relint: Newton over min cuts exceeded arcs + 2 flows")
+    if t > RELINT_CERT_TOL:
+        return RelintResult(True, "relative_interior", t)
+    return RelintResult(False, "boundary", t)
 
 
 # -- base-case shape detection ----------------------------------------------

@@ -1,8 +1,9 @@
-"""Import boundaries: scipy.linalg, scipy.optimize and multiprocessing load
-only on the paths that call them.  The Monte Carlo, fixed-point, Newton and
-closed-form routes run on numpy alone; the Green's route loads scipy.linalg
-(``eigh``) and the relint LP scipy.optimize."""
+"""Import boundaries: scipy.linalg and multiprocessing load only on the
+paths that call them, and no library path loads scipy.optimize.  The Monte
+Carlo, fixed-point, Newton, closed-form and max-flow relint routes run on
+numpy alone; the Green's route loads scipy.linalg (``eigh``)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,8 +12,6 @@ from pathlib import Path
 import numpy as np
 
 import walkweights as ww
-from walkweights import solvability
-from synth import path_instance
 
 HEAVY = ("scipy.linalg", "scipy.optimize", "multiprocessing")
 
@@ -40,32 +39,38 @@ print(loaded())
 """
 
 
-def test_heavy_modules_load_on_first_use():
+def run_probe(code: str) -> list[str]:
+    """Lines printed by ``code`` run in a fresh interpreter on this tree."""
     src = str(Path(ww.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
-    assert out == [
+
+
+def test_heavy_modules_load_on_first_use():
+    assert run_probe(PROBE) == [
         "[]",
         "[]",
         "[]",
         "['scipy.linalg']",
-        "['scipy.linalg', 'scipy.optimize']",
+        "['scipy.linalg']",
     ]
 
 
-def test_relint_goes_through_module_linprog(monkeypatch):
-    # The benchmark's tracer times the LP by wrapping ``solvability.linprog``.
-    calls = []
-    forward = solvability.linprog
-
-    def spy(*args, **kwargs):
-        calls.append(kwargs["A_eq"].shape)
-        return forward(*args, **kwargs)
-
-    monkeypatch.setattr(solvability, "linprog", spy)
-    g = path_instance(3)
-    assert ww.relint_membership(g, np.array([1.0, 2.0, 2.0]))
-    assert len(calls) == 1
+def test_check_with_target_loads_no_heavy_module(tmp_path):
+    instance = Path(__file__).resolve().parents[1] / "instances" / "grid3x3.json"
+    g, _ = ww.load_instance(instance)
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps(ww.expected_occupation_fixed_point(
+        g, ww.derived_weights(g, np.linspace(0.5, 2.0, g.n))).values.tolist()))
+    probe = f"""
+import sys
+from walkweights import cli
+code = cli.main(["check", "--instance", {str(instance)!r}, "--target", {str(target)!r},
+                 "--out", {str(tmp_path / "report.json")!r}])
+print(code, sorted(m for m in {HEAVY!r} if m in sys.modules))
+"""
+    assert run_probe(probe) == ["0 []"]
+    assert json.loads((tmp_path / "report.json").read_text())["relint"] is True

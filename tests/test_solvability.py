@@ -1,5 +1,5 @@
-"""Walk enumeration, the arc-flow hull and relint membership, closed-form
-solvers, and reductions."""
+"""Walk enumeration, the arc-flow hull and relint membership (checked
+against the arc-flow LP), closed-form solvers, and reductions."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from synth import (
 )
 from walkweights import solvability
 from walkweights.errors import CapTooSmall, InvalidTarget, Irreducible, NotInPsi
+from walkweights.graph_core import _bfs_depths
 from walkweights.occupation import make_walk_trace
 from walkweights.solvability import detect_family, enumerate_proper_walks, path_decompose
 
@@ -200,6 +201,19 @@ def test_relint_rejects_off_manifold_targets():
     assert ww.relint_membership(g, [0.0, 1.0, 1.0]).status == "relative_interior"
 
 
+def test_relint_certificate_is_exact_below_lp_tolerance():
+    # A chain occupation whose leaf 6 has r = 8.1e-10: its one arc 6 -> 2
+    # carries exactly r(6), so t* = r(6) <= RELINT_CERT_TOL.  HiGHS, feasible
+    # to 1e-7, certifies t = 6.0e-8 and calls the point relative_interior.
+    edges = [(0, 1), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (2, 6)]
+    g = ww.build_graph(7, edges, v_in=1, v_out=3)
+    r = [1.2990257199294637, 2.29930321019016, 6.259719716570801e-06, 1.0,
+         0.0002836895238064921, 5.964364587541797e-08, 8.129604613108779e-10]
+    res = ww.relint_membership(g, r)
+    assert res.status == "boundary"
+    assert res.certificate == pytest.approx(r[6], rel=1e-12)
+
+
 def test_relint_target_entries():
     g = ww.build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], v_in=3, v_out=0)
     r = tau_of(g, [1.0, 2.0, 0.5, 1.5]).copy()
@@ -261,6 +275,117 @@ def test_existence_on_every_small_graph():
                 assert np.abs(tau - r).max() <= 1e-9 * r.max(), case
                 checked += 1
     assert checked == 428
+
+
+# -- relint against the arc-flow LP ---------------------------------------------------
+
+
+def relint_lp_oracle(g, r):
+    """(status, certificate) of the relint LP, solved by HiGHS.
+
+    Maximizes the smallest flow t over flows x = y + t, y >= 0, on the arcs
+    leaving the vertices a walk reaches before v_out, with arrivals(v)
+    = r(v) - [v = v_in] at every vertex and departures(v) = r(v) at every
+    v != v_out; HiGHS decides feasibility to 1e-7.
+    """
+    r = np.asarray(r, dtype=float)
+    reach = sorted(_bfs_depths(g.neighbors, g.v_in, skip=g.v_out))
+    arcs = np.array([(u, v) for u in reach for v in g.neighbors[u]])
+    cols = np.arange(len(arcs))
+    head = np.zeros((g.n, len(arcs)))
+    tail = np.zeros((g.n, len(arcs)))
+    head[arcs[:, 1], cols] = 1.0
+    tail[arcs[:, 0], cols] = 1.0
+    keep = np.arange(g.n) != g.v_out
+    flow = np.vstack([head, tail[keep]])
+    arrivals = r.copy()
+    arrivals[g.v_in] -= 1.0
+    A_eq = np.hstack([flow, flow.sum(axis=1, keepdims=True)])
+    c = np.zeros(A_eq.shape[1])
+    c[-1] = -1.0
+    res = solvability.linprog(
+        c, A_eq=A_eq, b_eq=np.concatenate([arrivals, r[keep]]), method="highs"
+    )
+    if res.status == 2:
+        return "outside_hull", float("nan")
+    assert res.status == 0, res.message
+    t = float(res.x[-1])
+    return ("relative_interior" if t > solvability.RELINT_CERT_TOL else "boundary"), t
+
+
+def assert_matches_lp(g, r, case):
+    got = ww.relint_membership(g, r)
+    status, cert = relint_lp_oracle(g, r)
+    assert got.status == status, (case, list(r), got, cert)
+    if status != "outside_hull":
+        assert abs(got.certificate - cert) <= 1e-7 * max(1.0, np.abs(r).max()), case
+
+
+def perturbed_image(g, rng):
+    image = tau_of(g, 10.0 ** rng.uniform(-1.0, 1.0, g.n))
+    out = image * np.exp(rng.normal(0.0, 0.1, g.n))
+    out[g.v_out] = 1.0
+    return image, out
+
+
+def test_relint_matches_lp_on_every_small_graph():
+    # Every connected graph with n <= 5 and every pair whose graph minus
+    # v_out is connected (428 cases): an image, a perturbed image (mostly
+    # outside a bipartite hull's hyperplane) and a chain occupation.  The
+    # distinct traces of walks of at most n steps, mostly boundary points,
+    # on n <= 4 with cut v_out included.
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    rng = np.random.default_rng(20)
+    checked = traces = 0
+    for G in graph_atlas_g():
+        n = G.number_of_nodes()
+        if n < 2 or n > 5 or not nx.is_connected(G):
+            continue
+        for v_out in range(n):
+            for v_in in set(G) - {v_out}:
+                g = ww.build_graph(n, list(G.edges), v_in=v_in, v_out=v_out)
+                case = (sorted(G.edges), v_in, v_out)
+                if g.out_removed_connected:
+                    for r in (*perturbed_image(g, rng), chain_occupation(g, rng)):
+                        assert_matches_lp(g, r, case)
+                    checked += 1
+                if n <= 4:
+                    for tr in {tuple(w.trace) for w in enumerate_proper_walks(g, n)}:
+                        assert_matches_lp(g, np.array(tr, dtype=float), case)
+                        traces += 1
+    assert (checked, traces) == (428, 397)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random tree on n <= 8 vertices plus up to three chords, and a random
+    (v_in, v_out).  The chords are few because walk enumeration to n + 2
+    steps grows with the degrees."""
+    n = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    if others:
+        edges |= set(draw(st.lists(st.sampled_from(others), max_size=3)))
+    v_in, v_out = draw(st.permutations(range(n)))[:2]
+    return ww.build_graph(n, sorted(edges), v_in=v_in, v_out=v_out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(), st.integers(0, 2**32 - 1))
+def test_relint_matches_lp_on_trace_mixtures(g, seed):
+    # Positive mixtures of a random subset of the traces give boundary
+    # points (few traces, the likelier draw) and relative-interior points
+    # (many); perturbed images are mostly outside a bipartite hull.
+    rng = np.random.default_rng(seed)
+    traces = np.array([w.trace for w in enumerate_proper_walks(g, g.n + 2)], dtype=float)
+    size = int(len(traces) ** rng.random() ** 2)  # 1..len(traces), mostly few
+    subset = traces[rng.choice(len(traces), size, replace=False)]
+    lam = rng.uniform(0.1, 1.0, size)
+    assert_matches_lp(g, lam @ subset / lam.sum(), "mixture")
+    if g.out_removed_connected:
+        assert_matches_lp(g, perturbed_image(g, rng)[1], "perturbed image")
 
 
 # -- path solver -----------------------------------------------------------------------
