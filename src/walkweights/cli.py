@@ -40,9 +40,14 @@ EXIT_STRUCTURAL = 3
 
 def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
+    # mkstemp makes the file owner-only; the artifact gets the mode a plain
+    # open(path, "w") would create it with.
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -118,15 +123,18 @@ def _cmd_expect(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {args.method}")
 
-    # The Monte Carlo bytes depend on the chunk width, on the rule that
-    # turns a chunk's uniforms into walks and on numpy's PCG64 stream, so
-    # the manifest names all three.
+    # The Monte Carlo bytes depend on the engine N routes to, on the chunk
+    # width (per-walk engine) or batch count (count engine, and the routing
+    # rule), on the rule that turns a seed into walks and on numpy's PCG64
+    # stream, so the manifest names them all.
     mc = args.method == "montecarlo"
     manifest = _manifest(
         "expect", g, w, method=args.method,
         seed=args.seed if mc else None,
         N=args.N if mc else None,
+        engine=occupation.mc_engine(g, args.N) if mc else None,
         chunk_size=occupation.DEFAULT_CHUNK if mc else None,
+        batches=occupation.COUNT_BATCHES if mc else None,
         stream_version=occupation.STREAM_VERSION if mc else None,
     )
     if args.out is not None and args.out.endswith(".csv"):

@@ -6,11 +6,16 @@ The forward map rho -> tau is computed three independent ways:
 * the unique fixed point of the visit-balance matrix M (direct solve),
 * seeded Monte Carlo over proper walks.
 
-The sampler moves a walk by looking its uniform up in the current vertex's
-row of a neighbour table: O(log max degree) work per step, independent of
-n.  The table holds the same cumulative floats as a dense row of the
-transition matrix, so each uniform selects the same vertex as a search over
-the dense row would.
+Monte Carlo runs on one of two engines, chosen by ``mc_engine`` from N and
+the graph alone.  The per-walk engine moves each walk by looking its
+uniform up in the current vertex's row of a neighbour table: O(log max
+degree) work per walk and step, independent of n.  The table holds the
+same cumulative floats as a dense row of the transition matrix, so each
+uniform selects the same vertex as a search over the dense row would.
+When walkers per vertex are many, the count engine moves all k walkers of
+an occupied (batch, vertex) cell by one multinomial(k, P[v]) draw, so a
+round costs O(batches * n * max degree) whatever N is.  Walkers are
+exchangeable, so its visit totals have the law of N independent walks.
 
 Agreement of the three routes is the module's core correctness argument
 and is exercised heavily by the test suite.
@@ -45,27 +50,48 @@ __all__ = [
 
 DEFAULT_STEP_LIMIT = 10_000_000
 
-# Walk indices are grouped into fixed-size chunks; each chunk draws its
-# uniforms from an independent substream keyed by (seed, chunk index), one
-# per walk still running at each step.  A chunk's walks depend only on that
-# substream, so the output does not depend on how chunks are scheduled
-# across workers.  The chunk size is part of the stream: another size gives
-# other (equally valid) walks.  A step costs O(log max degree) per active
-# walk, draw included.
+# The per-walk engine groups walk indices into fixed-size chunks; each
+# chunk draws its uniforms from an independent substream keyed by (seed,
+# chunk index), one per walk still running at each step.  A chunk's walks
+# depend only on that substream, so the output does not depend on how
+# chunks are scheduled across workers.  The chunk size is part of the
+# stream: another size gives other (equally valid) walks.  A step costs
+# O(log max degree) per active walk, draw included.
 DEFAULT_CHUNK = 16384
 
-# Version of the rule that turns a chunk's substream into walks, recorded in
-# Monte Carlo manifests.  Version 1 drew a full chunk-width block of
-# uniforms on every step and used those of the active walks; version 2
-# draws one uniform per active walk and step, in walk order.
-STREAM_VERSION = 2
+# The count engine splits the N walkers into this many fixed batches, the
+# first N mod B of them one walker larger, and estimates standard errors
+# from the batch means, with B - 1 degrees of freedom.  All batches draw
+# from one substream of their own, in one process.
+COUNT_BATCHES = 32
+
+# N walks run on the count engine when N >= COUNT_ROUTE * B * n * max degree
+# (B = COUNT_BATCHES), else on the per-walk engine.  The per-walk engine's
+# cost grows with N, the count engine's with the B * n * max degree cells a
+# round may draw for.  scripts/mc_engines.py measured the count engine
+# faster from N / (B * n * max degree) = 8 on the benchmark's dense
+# 9-vertex graph and from 4 on its 10x10 grid (BENCH_21.json); COUNT_ROUTE
+# is twice the larger crossing.
+COUNT_ROUTE = 16
+
+# Version of the rule that turns a seed into walks, recorded in Monte Carlo
+# manifests.  Version 1 drew a full chunk-width block of uniforms on every
+# step and used those of the active walks; version 2 draws one uniform per
+# active walk and step, in walk order; version 3 is version 2's per-walk
+# engine below the COUNT_ROUTE rule and the count engine above it.
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
 class OccupationVector:
     """Vertex-indexed visit counts; ``kind`` is "expected" or "empirical".
 
-    ``stderr`` holds per-vertex standard errors for empirical vectors.
+    ``stderr`` holds per-vertex standard errors for empirical vectors: the
+    sample standard deviation over walks, with N - 1 degrees of freedom,
+    on the per-walk engine; the batch-means estimate over
+    ``COUNT_BATCHES`` batches, with B - 1 degrees of freedom, on the count
+    engine.  A mean's error divided by the batch-means ``stderr`` follows
+    Student's t with B - 1 degrees of freedom, whose tails are heavier.
     """
 
     values: np.ndarray
@@ -308,32 +334,94 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     return tr.sum(axis=0), np.einsum("ij,ij->j", tr, tr)
 
 
-def empirical_occupation(
-    g: GraphInstance,
-    w: WeightAssignment,
-    N: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> OccupationVector:
-    """Mean trace over N independent seeded walks, with standard errors.
+def _count_tables(g: GraphInstance, w: WeightAssignment):
+    """Per-vertex multinomial rows ``(p, nbr)``, both of shape (n, max degree).
 
-    Walks run in chunks of ``chunk_size``.  Results are bit-identical for
-    any ``workers`` value: a chunk's walks depend only on (seed, chunk
-    index, chunk size) through its own substream (see ``STREAM_VERSION``),
-    and traces are integer vectors accumulated exactly, so neither
-    scheduling nor summation order can perturb the output.
+    Rows are right-aligned: v's sorted neighbours fill the last deg(v)
+    entries of ``nbr[v]``, and their transition probabilities
+    rho(y) / sum_{z~v} rho(z) the same entries of ``p[v]``.  The padding in
+    front has probability 0 and repeats v's first neighbour.  A multinomial
+    gives its last outcome the remainder, so the remainder always goes to a
+    real neighbour, and no walker lands on padding.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if not g.out_removed_connected:
-        raise Disconnected("graph minus v_out is disconnected")
+    deg = np.array([len(nbrs) for nbrs in g.neighbors])
+    width = int(deg.max())
+    nbr = np.array([nbrs[:1] * (width - len(nbrs)) + nbrs for nbrs in g.neighbors])
+    p = w.rho[nbr] / (g.adjacency @ w.rho)[:, None]
+    p[np.arange(width)[None, :] < (width - deg)[:, None]] = 0.0
+    return p, nbr
+
+
+def _count_rng(seed: int) -> np.random.Generator:
+    # Chunk substreams are keyed by the one-word (chunk index,); a single
+    # integer never coerces to the two words (0, 0).
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
+
+
+def _batch_sizes(N: int) -> np.ndarray:
+    sizes = np.full(COUNT_BATCHES, N // COUNT_BATCHES, dtype=np.int64)
+    sizes[: N % COUNT_BATCHES] += 1
+    return sizes
+
+
+def _count_round(gen: np.random.Generator, cur: np.ndarray, p, nbr) -> np.ndarray:
+    """Move every walker in ``cur`` one step; return the arrivals.
+
+    ``cur`` (B, n) holds walkers per (batch, vertex), none at v_out.  Each
+    occupied cell, in flat order, draws one multinomial(k, p[v]) over its
+    row, and the draws are scattered to their (batch, neighbour) cells.
+    """
+    n = cur.shape[1]
+    cells = np.flatnonzero(cur)
+    v = cells % n
+    draws = gen.multinomial(cur.ravel()[cells], p[v])
+    dest = (cells - v)[:, None] + nbr[v]
+    # Float weights add integers below 2**53 exactly.
+    arrivals = np.bincount(dest.ravel(), weights=draws.ravel(), minlength=cur.size)
+    return arrivals.astype(np.int64).reshape(cur.shape)
+
+
+def _simulate_counts(tables, v_in, v_out, seed, N, step_limit) -> np.ndarray:
+    """Visit totals per (batch, vertex) of N walks: (COUNT_BATCHES, n) int64.
+
+    Every batch starts with its walkers at v_in, and each round moves all
+    running walkers one step (``_count_round``).  Arrivals at v_out are
+    counted once, then removed.
+    """
+    p, nbr = tables
+    gen = _count_rng(seed)
+    cur = np.zeros((COUNT_BATCHES, p.shape[0]), dtype=np.int64)
+    cur[:, v_in] = _batch_sizes(N)
+    totals = cur.copy()
+    for _ in range(step_limit):
+        if not cur.any():
+            break
+        cur = _count_round(gen, cur, p, nbr)
+        totals += cur
+        cur[:, v_out] = 0
+    else:
+        running = int(cur.sum())
+        if running:
+            raise StepLimitExceeded(f"{running} walkers exceeded {step_limit} steps")
+    return totals
+
+
+def _count_estimate(g, w, N, seed, step_limit) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and batch-means standard error of N walks on the count engine.
+
+    With batch totals T_b of N_b walks, sum_b N_b (T_b / N_b - mean)^2 / (B - 1)
+    is unbiased for one walk's visit variance whatever the batch sizes.
+    """
+    totals = _simulate_counts(_count_tables(g, w), g.v_in, g.v_out, seed, N, step_limit)
+    sizes = _batch_sizes(N)[:, None]
+    mean = totals.sum(axis=0) / N
+    dev = totals / sizes - mean
+    var = (sizes * dev * dev).sum(axis=0) / (COUNT_BATCHES - 1)
+    return mean, np.sqrt(var / N)
+
+
+def _walk_estimate(g, w, N, seed, workers, step_limit, chunk_size):
+    """Mean and standard error of N walks on the per-walk engine."""
     tables = _neighbour_tables(g, w)
     tasks = []
     start = 0
@@ -363,6 +451,58 @@ def empirical_occupation(
         stderr = np.sqrt(np.maximum(var, 0.0) / N)
     else:
         stderr = np.zeros(g.n)
+    return mean, stderr
+
+
+def mc_engine(g: GraphInstance, N: int) -> str:
+    """The engine ``empirical_occupation`` runs N walks on: "counts" when
+    N >= COUNT_ROUTE * COUNT_BATCHES * n * max degree, else "walks"."""
+    width = max(len(nbrs) for nbrs in g.neighbors)
+    return "counts" if N >= COUNT_ROUTE * COUNT_BATCHES * g.n * width else "walks"
+
+
+def empirical_occupation(
+    g: GraphInstance,
+    w: WeightAssignment,
+    N: int,
+    seed: int,
+    *,
+    workers: int = 1,
+    step_limit: int = DEFAULT_STEP_LIMIT,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> OccupationVector:
+    """Mean trace over N independent seeded walks, with standard errors.
+
+    ``mc_engine(g, N)`` picks the engine.  The per-walk engine runs walks
+    in chunks of ``chunk_size``, each chunk from its own substream keyed by
+    (seed, chunk index), and its ``stderr`` is the sample standard
+    deviation over walks divided by sqrt(N).  The count engine runs in one
+    process from one substream keyed by seed alone, and ignores
+    ``workers`` and ``chunk_size``; its ``stderr`` comes from
+    ``COUNT_BATCHES`` batch means.  Either way the result is bit-identical
+    for any ``workers`` value: traces are integer vectors accumulated
+    exactly, so neither scheduling nor summation order can perturb it.
+    A walk still running after ``step_limit`` steps raises
+    StepLimitExceeded.
+    """
+    import operator
+
+    try:
+        N = operator.index(N)
+    except TypeError:
+        raise TypeError(f"N must be an integer, got {N!r}") from None
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if not g.out_removed_connected:
+        raise Disconnected("graph minus v_out is disconnected")
+    if mc_engine(g, N) == "counts":
+        mean, stderr = _count_estimate(g, w, N, seed, step_limit)
+    else:
+        mean, stderr = _walk_estimate(g, w, N, seed, workers, step_limit, chunk_size)
     mean.flags.writeable = False
     stderr.flags.writeable = False
     return OccupationVector(values=mean, kind="empirical", stderr=stderr)

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: artifacts, manifests, exit codes, determinism."""
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import scipy
 
 import walkweights as ww
 from walkweights.cli import main
-from walkweights.occupation import DEFAULT_CHUNK
+from walkweights.occupation import COUNT_BATCHES, DEFAULT_CHUNK
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -99,11 +101,37 @@ def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     payload = json.loads(outs[0])
     assert payload["manifest"]["seed"] == 9
     assert payload["manifest"]["chunk_size"] == DEFAULT_CHUNK
-    assert payload["manifest"]["stream_version"] == 2
+    assert payload["manifest"]["batches"] == COUNT_BATCHES
+    assert payload["manifest"]["stream_version"] == 3
+    # 5000 walks on P3 are many per vertex: they run on the count engine.
+    assert payload["manifest"]["engine"] == "counts"
     assert_versions(payload["manifest"])
     assert len(payload["stderr"]) == 3
     dev = np.abs(np.array(payload["tau"]) - np.array([1.0, 2.0, 2.0]))
     assert np.all(dev <= 4 * np.maximum(np.array(payload["stderr"]), 1e-12))
+
+
+def test_expect_montecarlo_manifest_names_walks_engine(p3_file, tmp_path):
+    out = str(tmp_path / "tau.json")
+    assert main(["expect", "--instance", p3_file, "--method", "montecarlo",
+                 "--N", "500", "--seed", "9", "--out", out]) == 0
+    assert read_json(out)["manifest"]["engine"] == "walks"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+def test_artifact_mode_matches_plain_open(p3_file, tmp_path, umask):
+    # An artifact is written to a temp file and renamed into place, but it
+    # gets the mode a plain open(path, "w") gives a new file.
+    old = os.umask(umask)
+    try:
+        out = tmp_path / "tau.json"
+        assert main(["expect", "--instance", p3_file, "--out", str(out)]) == 0
+        plain = tmp_path / "plain.json"
+        ww.save_instance(plain, ww.load_instance(p3_file)[0])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_expect_csv_output(p3_file, tmp_path):

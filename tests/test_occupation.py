@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +23,25 @@ from synth import (
 from walkweights.errors import Disconnected, SingularSystem, StepLimitExceeded
 from walkweights.graph_core import transition_matrix
 from walkweights.occupation import (
+    COUNT_BATCHES,
+    DEFAULT_CHUNK,
+    DEFAULT_STEP_LIMIT,
+    _batch_sizes,
     _chunk_rng,
+    _count_estimate,
+    _count_rng,
+    _count_round,
+    _count_tables,
     _neighbour_tables,
     _pinned_fixed_point,
     _simulate_chunk,
+    _simulate_counts,
+    _walk_estimate,
     make_walk_trace,
+    mc_engine,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def single_edge():
@@ -412,13 +427,31 @@ def test_simulated_walks_are_proper():
 def test_p3_middle_visits_are_geometric():
     # On the uniform P3 each visit to the middle vertex ends the walk with
     # probability 1/2, so its visit count is Geometric(1/2): mean 2 and
-    # variance 2, i.e. N * stderr**2 ~ 2 beyond the mean the other tests see.
+    # variance 2.  The bound belongs to the per-walk sample variance, with
+    # N - 1 degrees of freedom, so the walks run on that engine directly.
     g = path_instance(3)
     N = 40_000
-    vec = ww.empirical_occupation(g, ww.derived_weights(g, np.ones(3)), N, seed=42)
-    var = N * vec.stderr[1] ** 2
+    tables = _neighbour_tables(g, ww.derived_weights(g, np.ones(3)))
+    s, q = _simulate_chunk((tables, g.v_in, g.v_out, 42, 0, N, DEFAULT_STEP_LIMIT))
+    var = (q[1] - s[1] ** 2 / N) / (N - 1)
     # The sample variance has variance (mu4 - sigma^4) / N = (38 - 4) / N.
     assert abs(var - 2.0) <= 4.0 * np.sqrt(34.0 / N)
+
+
+def test_p3_middle_visits_batch_means_variance():
+    # The same Geometric(1/2) count on the count engine, whose N * stderr**2
+    # is the batch-means variance estimate: 2 * chi2_{B-1} / (B - 1) in law,
+    # as each batch mean of N / B walks is near-normal.  Its bounds are the
+    # law's quantiles at the two-sided tail of the 4-sigma bound above.
+    g = path_instance(3)
+    N = 40_000
+    assert mc_engine(g, N) == "counts"
+    vec = ww.empirical_occupation(g, ww.derived_weights(g, np.ones(3)), N, seed=42)
+    var = N * vec.stderr[1] ** 2
+    tail = scipy.stats.norm.sf(4.0)
+    dof = COUNT_BATCHES - 1
+    low, high = 2.0 * scipy.stats.chi2.ppf([tail, 1.0 - tail], dof) / dof
+    assert low <= var <= high
 
 
 @pytest.mark.parametrize("chunk_size", [0, -4])
@@ -577,6 +610,193 @@ def test_golden_digest_matches_dense_reference():
     var = (sum_sq.astype(float) - sum_tr.astype(float) ** 2 / N) / (N - 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / N)
     assert occupation_digest(sum_tr / N, stderr) == GRID4X4_DIGEST
+
+
+# -- count engine ------------------------------------------------------------------
+
+
+def test_non_integer_N_is_rejected_by_name():
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    for bad in (1000.0, 2.5, "1000", None):
+        with pytest.raises(TypeError, match="N must be an integer"):
+            ww.empirical_occupation(g, w, bad, seed=1)
+    for N in (500, 40_000):
+        want = ww.empirical_occupation(g, w, N, seed=1)
+        got = ww.empirical_occupation(g, w, np.int64(N), seed=1)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.stderr, want.stderr)
+
+
+def test_count_tables_put_probability_on_neighbours_only():
+    rng = np.random.default_rng(16)
+    graphs = [star_instance(n) for n in (2, 3, 9)]
+    graphs += [random_connected_instance(int(rng.integers(2, 10)), rng) for _ in range(20)]
+    for g in graphs:
+        w = ww.derived_weights(g, 10.0 ** rng.uniform(-2.0, 2.0, g.n))
+        p, nbr = _count_tables(g, w)
+        P = transition_matrix(g, w)
+        width = max(len(nbrs) for nbrs in g.neighbors)
+        assert p.shape == nbr.shape == (g.n, width)
+        for v, nbrs in enumerate(g.neighbors):
+            pad = width - len(nbrs)
+            assert tuple(nbr[v, pad:]) == nbrs and set(nbr[v, :pad]) <= set(nbrs)
+            assert np.all(p[v, :pad] == 0.0)
+            assert np.array_equal(p[v, pad:], P[v, list(nbrs)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunk_cases())
+def test_count_rounds_move_walkers_along_edges(case):
+    # Drive the engine's rounds by hand: each round conserves every batch's
+    # walkers, lands them only on neighbours of the vertices they left,
+    # and over the run every walk reaches v_out exactly once.
+    g, w, seed, chunk_index, count = case
+    tables = _count_tables(g, w)
+    adjacent = g.adjacency > 0
+    gen = _count_rng(seed)
+    # One occupied cell per round: every walker lands on that vertex's
+    # neighbours.
+    for v in range(g.n):
+        if v == g.v_out:
+            continue
+        one = np.zeros((COUNT_BATCHES, g.n), dtype=np.int64)
+        one[chunk_index % COUNT_BATCHES, v] = 1000
+        arrivals = _count_round(gen, one, *tables)
+        assert arrivals.sum() == 1000
+        assert not arrivals[:, ~adjacent[v]].any()
+    N = count + chunk_index % 50
+    sizes = _batch_sizes(N)
+    gen = _count_rng(seed)
+    cur = np.zeros((COUNT_BATCHES, g.n), dtype=np.int64)
+    cur[:, g.v_in] = sizes
+    totals = cur.copy()
+    while cur.any():
+        arrivals = _count_round(gen, cur, *tables)
+        assert arrivals.min() >= 0
+        assert np.array_equal(arrivals.sum(axis=1), cur.sum(axis=1))
+        assert not arrivals[(cur > 0) @ adjacent == 0].any()
+        totals += arrivals
+        cur = arrivals
+        cur[:, g.v_out] = 0
+    assert np.array_equal(totals[:, g.v_out], sizes)
+    assert np.array_equal(totals, _simulate_counts(tables, g.v_in, g.v_out, seed, N, 10**7))
+
+
+def scalar_count_replay(g, w, N, seed):
+    """The count engine as a plain loop: one ``gen.multinomial`` call per
+    occupied (batch, vertex) cell, cells in flat order, over right-aligned
+    rows built here from the dense transition matrix.  Returns the visit
+    totals per batch."""
+    P = transition_matrix(g, w)
+    width = max(len(nbrs) for nbrs in g.neighbors)
+    rows = []
+    for v, nbrs in enumerate(g.neighbors):
+        pad = width - len(nbrs)
+        rows.append(([0.0] * pad + [P[v, y] for y in nbrs], [nbrs[0]] * pad + list(nbrs)))
+    gen = _count_rng(seed)
+    sizes = [N // COUNT_BATCHES + (b < N % COUNT_BATCHES) for b in range(COUNT_BATCHES)]
+    cur = [[0] * g.n for _ in sizes]
+    totals = [[0] * g.n for _ in sizes]
+    for b, size in enumerate(sizes):
+        cur[b][g.v_in] = totals[b][g.v_in] = size
+    while any(map(any, cur)):
+        arrivals = [[0] * g.n for _ in sizes]
+        for b in range(COUNT_BATCHES):
+            for v in range(g.n):
+                if cur[b][v]:
+                    probs, targets = rows[v]
+                    for y, k in zip(targets, gen.multinomial(cur[b][v], probs)):
+                        arrivals[b][y] += int(k)
+        for b in range(COUNT_BATCHES):
+            for y in range(g.n):
+                totals[b][y] += arrivals[b][y]
+            arrivals[b][g.v_out] = 0
+        cur = arrivals
+    return np.array(totals, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def count_digest_case():
+    g = random_connected_instance(5, np.random.default_rng(12))
+    return g, ww.derived_weights(g, random_rho(g, np.random.default_rng(13)))
+
+
+# Pins the count engine of stream version 3: the digest of
+# empirical_occupation(count_digest_case(), N=12_345, seed=2024), computed by
+# scalar_count_replay as test_count_digest_matches_scalar_replay does, not
+# by the library.
+COUNT_DIGEST = "aaf207696e2a8f703e62620b593811661a524fe2c88c6c442046b1422b401a32"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_count_engine_golden_digest(workers):
+    g, w = count_digest_case()
+    assert mc_engine(g, 12_345) == "counts"
+    vec = ww.empirical_occupation(g, w, 12_345, seed=2024, workers=workers)
+    assert occupation_digest(vec.values, vec.stderr) == COUNT_DIGEST
+
+
+def test_count_digest_matches_scalar_replay():
+    g, w = count_digest_case()
+    N = 12_345
+    totals, sizes = scalar_count_replay(g, w, N, 2024)
+    mean = totals.sum(axis=0) / N
+    dev = totals / sizes[:, None] - mean
+    var = (sizes[:, None] * dev * dev).sum(axis=0) / (COUNT_BATCHES - 1)
+    assert occupation_digest(mean, np.sqrt(var / N)) == COUNT_DIGEST
+
+
+def test_both_engines_within_4se_of_fixed_point():
+    rng = np.random.default_rng(14)
+    g = random_connected_instance(6, rng)
+    w = ww.derived_weights(g, random_rho(g, rng))
+    expected = ww.expected_occupation_fixed_point(g, w).values
+    N = 60_000
+    walks = _walk_estimate(g, w, N, 21, 1, DEFAULT_STEP_LIMIT, DEFAULT_CHUNK)
+    counts = _count_estimate(g, w, N, 21, DEFAULT_STEP_LIMIT)
+    for mean, stderr in (walks, counts):
+        assert mean[g.v_out] == 1.0
+        assert np.all(np.abs(mean - expected) <= 4.0 * np.maximum(stderr, 1e-15))
+
+
+def test_sample_workload_routes_as_measured(monkeypatch, tmp_path):
+    # scripts/mc_engines.py measured the count engine about ten times
+    # faster on the benchmark's dense 9-vertex graph and several times
+    # slower on the other three; the routing rule must agree.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import workloads
+
+    graphs = {
+        inst.name: ww.build_graph(inst.n, inst.edges, inst.v_in, inst.v_out)
+        for inst in inputs.sample_catalogue()
+    }
+    ops = workloads.setup_sample(ww, 1, tmp_path)
+    assert len(ops) == 12
+    for op in ops:
+        name, N = op.label.split(" N=")
+        assert mc_engine(graphs[name], int(N)) == ("counts" if name == "dense9" else "walks")
+
+
+def test_count_engine_step_limit():
+    # After one round every walker stands on the middle vertex of P3.
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    assert mc_engine(g, 40_000) == "counts"
+    with pytest.raises(StepLimitExceeded, match="40000 walkers exceeded 1 steps"):
+        ww.empirical_occupation(g, w, 40_000, seed=0, step_limit=1)
+
+
+def test_count_engine_ignores_workers_and_chunk_size():
+    g = random_connected_instance(5, np.random.default_rng(31))
+    w = ww.derived_weights(g, random_rho(g, np.random.default_rng(32)))
+    N = 50_000
+    assert mc_engine(g, N) == "counts"
+    base = ww.empirical_occupation(g, w, N, seed=8)
+    for kw in (dict(workers=2), dict(workers=4, chunk_size=512)):
+        other = ww.empirical_occupation(g, w, N, seed=8, **kw)
+        assert np.array_equal(base.values, other.values)
+        assert np.array_equal(base.stderr, other.stderr)
 
 
 # -- serialization ----------------------------------------------------------------
