@@ -1,14 +1,19 @@
-"""Wall time of both Monte Carlo engines, and where they cross.
+"""Wall time and walk-steps/s of both Monte Carlo engines, and where they
+cross.
 
     python scripts/mc_engines.py > table.json
 
 Times ``occupation``'s per-walk engine and its count engine on the same
 inputs, whatever ``mc_engine`` would route them to, and prints one JSON
-object.
+object.  Every row gives, per engine, the median seconds (``<engine>_s``),
+the walk steps its run took (``<engine>_steps`` = N * sum(mean) - N, each
+visit but a walk's first being one step) and their ratio
+(``<engine>_steps_per_s``).
 
 * ``sample``: the benchmark's ``sample`` operations at seed 1 (the four
   graphs, three weight draws each, the benchmark's N), with the engine
-  ``empirical_occupation`` routes each to.
+  ``empirical_occupation`` routes each to.  ``sample_totals`` sums them
+  per engine, and for the routed engine of each operation.
 * ``sweep``: the first ``sample`` draw on the dense 9-vertex graph and on
   the 10x10 grid, at N = ratio * B * n * max degree (B = COUNT_BATCHES) for
   each ratio in RATIOS.  ``crossover`` is, per graph, the smallest ratio
@@ -84,6 +89,11 @@ def cells(g) -> int:
     return occupation.COUNT_BATCHES * g.n * max(len(nbrs) for nbrs in g.neighbors)
 
 
+def walk_steps(N: int, mean) -> int:
+    """Steps of N walks whose mean visit vector is ``mean``."""
+    return round(N * float(mean.sum())) - N
+
+
 def time_engines(g, w, N: int, seed: int) -> dict:
     engines = {
         "walks": lambda: occupation._walk_estimate(
@@ -92,13 +102,33 @@ def time_engines(g, w, N: int, seed: int) -> dict:
             g, w, N, seed, occupation.DEFAULT_STEP_LIMIT),
     }
     seconds = {name: [] for name in engines}
+    steps = {}
     for k in range(REPEATS):
         order = list(engines) if k % 2 == 0 else list(engines)[::-1]
         for name in order:
             start = time.perf_counter()
-            engines[name]()
+            mean, _ = engines[name]()
             seconds[name].append(time.perf_counter() - start)
-    return {f"{name}_s": round(statistics.median(s), 5) for name, s in seconds.items()}
+            steps[name] = walk_steps(N, mean)
+    row = {}
+    for name, s in seconds.items():
+        median = statistics.median(s)
+        row[f"{name}_s"] = round(median, 5)
+        row[f"{name}_steps"] = steps[name]
+        row[f"{name}_steps_per_s"] = round(steps[name] / median)
+    return row
+
+
+def totals(rows: list[dict]) -> dict:
+    """Seconds, steps and steps/s summed over ``rows``, per engine and for
+    the engine each row is routed to."""
+    out = {}
+    for name in ("walks", "counts", "routed"):
+        engines = [row["routed"] if name == "routed" else name for row in rows]
+        s = sum(row[f"{e}_s"] for row, e in zip(rows, engines))
+        steps = sum(row[f"{e}_steps"] for row, e in zip(rows, engines))
+        out[name] = {"s": round(s, 5), "steps": steps, "steps_per_s": round(steps / s)}
+    return out
 
 
 def crossover(rows: list[dict]) -> float | None:
@@ -140,6 +170,7 @@ def main() -> int:
         "count_batches": occupation.COUNT_BATCHES,
         "count_route": occupation.COUNT_ROUTE,
         "sample": sample,
+        "sample_totals": totals(sample),
         "sweep": sweep,
     }
     print(json.dumps(report, indent=1))

@@ -12,6 +12,9 @@ uniform up in the current vertex's row of a neighbour table: O(log max
 degree) work per walk and step, independent of n.  The table holds the
 same cumulative floats as a dense row of the transition matrix, so each
 uniform selects the same vertex as a search over the dense row would.
+A chunk moves its walks in lockstep, numpy array by array, until at most
+``SCALAR_TAIL`` still run, then finishes those in a plain loop over the
+same uniforms in the same order, so the tail pays no per-step numpy cost.
 When walkers per vertex are many, the count engine moves all k walkers of
 an occupied (batch, vertex) cell by one multinomial(k, P[v]) draw, so a
 round costs O(batches * n * max degree) whatever N is.  Walkers are
@@ -27,6 +30,8 @@ tau(v_in) >= 1 (the start counts as a visit).
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +56,7 @@ __all__ = [
 DEFAULT_STEP_LIMIT = 10_000_000
 
 # The per-walk engine groups walk indices into fixed-size chunks; each
-# chunk draws its uniforms from an independent substream keyed by (seed,
+# chunk takes its uniforms from an independent substream keyed by (seed,
 # chunk index), one per walk still running at each step.  A chunk's walks
 # depend only on that substream, so the output does not depend on how
 # chunks are scheduled across workers.  The chunk size is part of the
@@ -70,13 +75,26 @@ COUNT_BATCHES = 32
 # cost grows with N, the count engine's with the B * n * max degree cells a
 # round may draw for.  scripts/mc_engines.py measured the count engine
 # faster from N / (B * n * max degree) = 8 on the benchmark's dense
-# 9-vertex graph and from 4 on its 10x10 grid (BENCH_21.json); COUNT_ROUTE
-# is twice the larger crossing.
+# 9-vertex graph and from 4 on its 10x10 grid (BENCH_21.json), and
+# COUNT_ROUTE was set to twice the larger crossing.  With the per-walk
+# engine's scalar tail the crossings moved to 16 and 8 (BENCH_22.json), so
+# COUNT_ROUTE now equals the larger one; changing it would change bytes.
 COUNT_ROUTE = 16
+
+# Chunks draw their uniforms in blocks of this many (128 KB) and use them
+# in order.  PCG64 gives the same doubles however the draws are split, so
+# the block size moves only where the draws happen, never which walks run.
+UNIFORM_BLOCK = 16384
+
+# A chunk moves its walks in lockstep while more than this many are still
+# running, and finishes the rest in a scalar loop: each lockstep step pays
+# a fixed numpy overhead of 10-20 us however few walks it moves.  Tails of
+# 16, 24, 32 and 64 walks timed about the same (BENCH_22.json).
+SCALAR_TAIL = 24
 
 # Version of the rule that turns a seed into walks, recorded in Monte Carlo
 # manifests.  Version 1 drew a full chunk-width block of uniforms on every
-# step and used those of the active walks; version 2 draws one uniform per
+# step and used those of the active walks; version 2 uses one uniform per
 # active walk and step, in walk order; version 3 is version 2's per-walk
 # engine below the COUNT_ROUTE rule and the count engine above it.
 STREAM_VERSION = 3
@@ -292,15 +310,24 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
-    """Lockstep-simulate one chunk of walks; returns (sum_tr, sum_sq) int64.
+    """Simulate one chunk of walks; returns (sum_tr, sum_sq) int64.
 
     A walk at ``pos`` steps to ``nbr[pos, k]`` with k = #{j : u >= cum[pos, j]}.
-    The entries a uniform u in [0, 1) reaches form a prefix of the row, so
-    k is found by a branchless binary search: for s = width/2, ..., 1 the
-    flat offset ``at`` moves up by s when u >= cum_flat[at + s - 1].  A
-    step costs O(log width) array operations, whatever n is.  Positions
-    are kept for the active walks only, and each step draws one uniform per
-    active walk, in walk order (stream version 2).
+    Each step uses one uniform per walk still running, in walk order
+    (stream version 2).  The uniforms come from the chunk's substream in
+    blocks of ``UNIFORM_BLOCK``, so the chunk may draw ahead of the ones it
+    uses.
+
+    While more than ``SCALAR_TAIL`` walks run, the chunk moves them in
+    lockstep.  The entries a uniform u in [0, 1) reaches form a prefix of
+    the row, so k is found by a branchless binary search: for s = width/2,
+    ..., 1 the flat offset ``at`` moves up by s when
+    u >= cum_flat[at + s - 1].  A step costs O(log width) array operations,
+    whatever n is.  The remaining walks finish in a plain loop over the
+    same uniforms, step by step and in walk order within each step, each
+    looked up with ``bisect_right`` on its vertex's row, which gives the
+    same k.  A row becomes a list when a walk first reaches its vertex, and
+    the tail's visits are added to the traces in blocks.
     """
     (cum, nbr), v_in, v_out, seed, chunk_index, count, step_limit = args
     n, width = cum.shape
@@ -309,29 +336,72 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     # probe[at] reads cum_flat[at + s - 1] without an index addition.
     probes = [(s, cum_flat[s - 1:]) for s in halves]
     gen = _chunk_rng(seed, chunk_index)
+    block, used = gen.random(UNIFORM_BLOCK), 0
     tr = np.zeros((count, n), dtype=np.int64)
     tr[:, v_in] = 1
     tr_flat = tr.reshape(-1)
+    # Running walks as (row offset walk * n into tr_flat, position).
+    rows = np.arange(0, count * n, n)
     pos = np.full(count, v_in, dtype=np.int64)
-    active = np.arange(count)
-    for _ in range(step_limit):
-        if active.size == 0:
-            break
-        u = gen.random(active.size)
+    steps = 0
+    while rows.size > SCALAR_TAIL:
+        if steps >= step_limit:
+            raise _chunk_step_limit(rows.size, chunk_index, step_limit)
+        if used + rows.size > block.size:
+            fresh = gen.random(max(UNIFORM_BLOCK, rows.size))
+            block, used = np.concatenate((block[used:], fresh)), 0
+        u = block[used:used + rows.size]
+        used += rows.size
         at = pos * width
         for s, probe in probes:
             at += (u >= probe[at]) * s
         pos = nbr_flat[at]
-        tr_flat[active * n + pos] += 1
+        tr_flat[rows + pos] += 1
         going = pos != v_out
-        active, pos = active[going], pos[going]
-    else:
-        if active.size:
-            raise StepLimitExceeded(
-                f"{active.size} walks in chunk {chunk_index} exceeded "
-                f"{step_limit} steps"
-            )
+        rows, pos = rows[going], pos[going]
+        steps += 1
+
+    rows, pos = rows.tolist(), pos.tolist()
+    tail_uniforms = _tail_uniforms(gen, block[used:])
+    cum_rows, nbr_rows = [None] * n, [None] * n  # lists, made on first visit
+    visits = []  # flat tr offsets, one per walk and tail step
+    while rows:
+        if steps >= step_limit:
+            raise _chunk_step_limit(len(rows), chunk_index, step_limit)
+        if len(visits) >= UNIFORM_BLOCK:  # bound the list on long walks
+            np.add.at(tr_flat, visits, 1)
+            visits.clear()
+        still_rows, still_pos = [], []
+        for r, v, u in zip(rows, pos, tail_uniforms):
+            row = cum_rows[v]
+            if row is None:
+                row = cum_rows[v] = cum[v].tolist()
+                nbr_rows[v] = nbr[v].tolist()
+            y = nbr_rows[v][bisect_right(row, u)]
+            visits.append(r + y)
+            if y != v_out:
+                still_rows.append(r)
+                still_pos.append(y)
+        rows, pos = still_rows, still_pos
+        steps += 1
+    np.add.at(tr_flat, visits, 1)
     return tr.sum(axis=0), np.einsum("ij,ij->j", tr, tr)
+
+
+def _tail_uniforms(gen: np.random.Generator, head: np.ndarray):
+    """The uniforms in ``head``, then in fresh blocks from ``gen``, one float
+    at a time; each block becomes Python floats 1024 at a time, as used."""
+    block = head
+    while True:
+        for k in range(0, block.size, 1024):
+            yield from block[k:k + 1024].tolist()
+        block = gen.random(UNIFORM_BLOCK)
+
+
+def _chunk_step_limit(running: int, chunk_index: int, step_limit: int):
+    return StepLimitExceeded(
+        f"{running} walks in chunk {chunk_index} exceeded {step_limit} steps"
+    )
 
 
 def _count_tables(g: GraphInstance, w: WeightAssignment):
@@ -461,6 +531,13 @@ def mc_engine(g: GraphInstance, N: int) -> str:
     return "counts" if N >= COUNT_ROUTE * COUNT_BATCHES * g.n * width else "walks"
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def empirical_occupation(
     g: GraphInstance,
     w: WeightAssignment,
@@ -485,12 +562,10 @@ def empirical_occupation(
     A walk still running after ``step_limit`` steps raises
     StepLimitExceeded.
     """
-    import operator
-
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise TypeError(f"N must be an integer, got {N!r}") from None
+    N = _integer("N", N)
+    workers = _integer("workers", workers)
+    chunk_size = _integer("chunk_size", chunk_size)
+    step_limit = _integer("step_limit", step_limit)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if workers < 1:

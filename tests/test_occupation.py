@@ -26,6 +26,8 @@ from walkweights.occupation import (
     COUNT_BATCHES,
     DEFAULT_CHUNK,
     DEFAULT_STEP_LIMIT,
+    SCALAR_TAIL,
+    UNIFORM_BLOCK,
     _batch_sizes,
     _chunk_rng,
     _count_estimate,
@@ -507,16 +509,10 @@ def test_neighbour_tables_select_only_neighbours():
     assert short_rows > 0  # some rows really do sum to less than 1
 
 
-def test_chunk_engine_step_limit():
-    g = path_instance(3)
-    w = ww.derived_weights(g, np.ones(3))
-    with pytest.raises(StepLimitExceeded):
-        _simulate_chunk((_neighbour_tables(g, w), g.v_in, g.v_out, 0, 0, 64, 1))
-
-
-def dense_lockstep_chunk(cum, v_in, v_out, seed, chunk_index, count):
+def dense_lockstep_chunk(cum, v_in, v_out, seed, chunk_index, count, running=None):
     """Lockstep loop over dense (n, n) cumulative rows, O(n) work per walk
-    and step: the reference the chunk engine must match bit for bit."""
+    and step: the reference the chunk engine must match bit for bit.  A
+    ``running`` list gets the number of walks still running after each step."""
     n = cum.shape[0]
     gen = _chunk_rng(seed, chunk_index)
     tr = np.zeros((count, n), dtype=np.int64)
@@ -530,7 +526,56 @@ def dense_lockstep_chunk(cum, v_in, v_out, seed, chunk_index, count):
         tr[active, nxt] += 1
         pos[active] = nxt
         active = active[nxt != v_out]
+        if running is not None:
+            running.append(active.size)
     return tr.sum(axis=0), (tr * tr).sum(axis=0)
+
+
+def p3_running(count, chunk_index):
+    """Walks of a P3 chunk (seed 0) still running after each step, by the
+    dense loop."""
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    running = []
+    dense_lockstep_chunk(
+        dense_cumulative_rows(g, w), g.v_in, g.v_out, 0, chunk_index, count, running
+    )
+    return running
+
+
+def test_chunk_engine_step_limit():
+    # On P3 from its end every walk reaches the middle vertex in one step
+    # and can leave for v_out on every second step after it.  A limit of k
+    # steps raises after step k, in whichever phase the chunk is then,
+    # naming the walks still running as the dense loop counts them.
+    g = path_instance(3)
+    tables = _neighbour_tables(g, ww.derived_weights(g, np.ones(3)))
+    # 200 walks run in lockstep for ``handoff`` steps, then in the scalar
+    # loop, which a limit of handoff + 1 steps stops.
+    running = p3_running(200, 3)
+    handoff = 1 + next(k for k, m in enumerate(running) if m <= SCALAR_TAIL)
+    cases = [
+        (200, 1),  # lockstep: all 200 walks stand on the middle vertex
+        (SCALAR_TAIL, 1),  # the whole chunk runs in the scalar loop
+        (200, handoff),  # reached as the chunk leaves the lockstep loop
+        (200, handoff + 1),  # one scalar step after that
+    ]
+    for count, limit in cases:
+        running = p3_running(count, 3)
+        assert running[limit - 1] > 0
+        with pytest.raises(
+            StepLimitExceeded,
+            match=f"^{running[limit - 1]} walks in chunk 3 exceeded {limit} steps$",
+        ):
+            _simulate_chunk((tables, g.v_in, g.v_out, 0, 3, count, limit))
+        # The longest walk takes len(running) steps: that limit is enough,
+        # one fewer is not.
+        _simulate_chunk((tables, g.v_in, g.v_out, 0, 3, count, len(running)))
+        last = len(running) - 1
+        with pytest.raises(
+            StepLimitExceeded, match=f"^{running[-2]} walks in chunk 3 exceeded {last} "
+        ):
+            _simulate_chunk((tables, g.v_in, g.v_out, 0, 3, count, last))
 
 
 @st.composite
@@ -546,12 +591,17 @@ def chunk_cases(draw):
     g = maker(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     log_rho = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     w = ww.derived_weights(g, 10.0 ** np.array(log_rho))
+    # Counts on both sides of the scalar tail, and one whose first step
+    # needs more uniforms than a block holds.
+    count = draw(st.sampled_from(
+        [1, 7, SCALAR_TAIL, SCALAR_TAIL + 1, 64, 300, UNIFORM_BLOCK + 1]
+    ))
     # Some such weights trap walks for millions of steps; the dense loop
-    # replays every step in Python, so keep the expected walk short.
-    assume(ww.expected_occupation_fixed_point(g, w).values.sum() <= 2000)
+    # replays every step, so keep the chunk's expected visits few.
+    visits = ww.expected_occupation_fixed_point(g, w).values.sum()
+    assume(visits <= 2000 and count * visits <= 2_000_000)
     seed = draw(st.integers(0, 2**32 - 1))
     chunk_index = draw(st.integers(0, 1000))
-    count = draw(st.sampled_from([1, 7, 64]))
     return g, w, seed, chunk_index, count
 
 
@@ -567,6 +617,21 @@ def test_chunk_engine_matches_dense_lockstep_loop(case):
     step_limit = int(want[0].sum())
     got = _simulate_chunk(
         (_neighbour_tables(g, w), g.v_in, g.v_out, seed, chunk_index, count, step_limit)
+    )
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_long_scalar_tail_matches_dense_lockstep_loop():
+    # SCALAR_TAIL walks across the uniform P40 take about 39**2 steps each,
+    # all in the scalar loop: several blocks of uniforms and of visits.
+    g = path_instance(40)
+    w = ww.derived_weights(g, np.ones(40))
+    want = dense_lockstep_chunk(
+        dense_cumulative_rows(g, w), g.v_in, g.v_out, 5, 0, SCALAR_TAIL
+    )
+    assert want[0].sum() > 2 * UNIFORM_BLOCK
+    got = _simulate_chunk(
+        (_neighbour_tables(g, w), g.v_in, g.v_out, 5, 0, SCALAR_TAIL, DEFAULT_STEP_LIMIT)
     )
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -610,6 +675,19 @@ def test_golden_digest_matches_dense_reference():
     var = (sum_sq.astype(float) - sum_tr.astype(float) ** 2 / N) / (N - 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / N)
     assert occupation_digest(sum_tr / N, stderr) == GRID4X4_DIGEST
+
+
+@pytest.mark.parametrize("name", ["workers", "chunk_size", "step_limit"])
+def test_non_integer_arguments_are_rejected_by_name(name):
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    for bad in (2.5, 64.0, "64", None):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+            ww.empirical_occupation(g, w, 10, seed=1, **{name: bad})
+    want = ww.empirical_occupation(g, w, 10, seed=1, **{name: 64})
+    got = ww.empirical_occupation(g, w, 10, seed=1, **{name: np.int64(64)})
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.stderr, want.stderr)
 
 
 # -- count engine ------------------------------------------------------------------
