@@ -12,8 +12,9 @@ The package exports the names that answer those questions.  Steps inside
 them and test oracles stay in their modules: ``laplacians`` and
 ``instance_to_dict`` in ``graph_core``; ``WalkTrace`` and
 ``make_walk_trace`` in ``occupation``; ``weight_jacobians`` in
-``reconstruct``; ``detect_family``, ``path_decompose``,
-``PathDecomposition`` and ``enumerate_proper_walks`` in ``solvability``.
+``reconstruct``; ``detect_family`` and ``enumerate_proper_walks`` in
+``solvability``, which also keeps ``solve_path`` and ``solve_complete``:
+``solve_reducible`` behind a path or complete-graph shape check.
 """
 
 from . import errors
@@ -50,8 +51,6 @@ from .solvability import (
     RelintResult,
     hull_dimension,
     relint_membership,
-    solve_complete,
-    solve_path,
     solve_reducible,
 )
 from .spectral_green import (

@@ -14,6 +14,7 @@ arrays are write-protected), so they are safe to share across workers.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,14 +111,25 @@ def _check_vertex(n: int, v: int, name: str) -> None:
         raise ValueError(f"{name}={v} outside 0..{n - 1}")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming the argument ``name`` unless it
+    is a Python or numpy integer (a float is refused even when whole)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name}={value!r} is not an integer") from None
+
+
 def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
     """Validate and assemble a GraphInstance.
 
     Raises SelfLoop, DuplicateEdge, InOutCoincide, or Disconnected with the
-    offending vertices named.  Bipartiteness, the bipartition coloring, and
-    BFS distances to ``v_out`` are computed eagerly since several downstream
-    operations branch on them.
+    offending vertices named, and ValueError naming a count, vertex id or
+    edge endpoint that is not an integer.  Bipartiteness, the bipartition
+    coloring, and BFS distances to ``v_out`` are computed eagerly since
+    several downstream operations branch on them.
     """
+    n, v_in, v_out = _integer(n, "n"), _integer(v_in, "v_in"), _integer(v_out, "v_out")
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got n={n}")
     for v, name in ((v_in, "v_in"), (v_out, "v_out")):
@@ -128,7 +140,10 @@ def build_graph(n: int, edges, v_in: int, v_out: int) -> GraphInstance:
     canon: list[tuple[int, int]] = []
     seen_edges: set[tuple[int, int]] = set()
     for e in edges:
-        x, y = int(e[0]), int(e[1])
+        try:
+            x, y = operator.index(e[0]), operator.index(e[1])
+        except TypeError:
+            raise ValueError(f"edge {tuple(e)} has a non-integer endpoint") from None
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"edge ({x},{y}) outside 0..{n - 1}")
         if x == y:
@@ -244,7 +259,7 @@ def load_instance(path) -> tuple[GraphInstance, WeightAssignment | None]:
     for key in ("n", "edges", "v_in", "v_out"):
         if key not in data:
             raise ValueError(f"instance file missing required field '{key}'")
-    g = build_graph(int(data["n"]), data["edges"], int(data["v_in"]), int(data["v_out"]))
+    g = build_graph(data["n"], data["edges"], data["v_in"], data["v_out"])
     w = None
     if data.get("rho") is not None:
         w = derived_weights(g, np.asarray(data["rho"], dtype=float))

@@ -66,13 +66,11 @@ from .occupation import (
 )
 
 __all__ = [
-    "PathDecomposition",
     "RelintResult",
     "enumerate_proper_walks",
     "hull_dimension",
     "relint_membership",
     "detect_family",
-    "path_decompose",
     "solve_path",
     "solve_complete",
     "solve_reducible",
@@ -350,80 +348,42 @@ def detect_family(g: GraphInstance) -> str:
     return _family(dict(enumerate(g.neighbors)), g)
 
 
-# -- path solver --------------------------------------------------------------
+# -- closed forms on the reduction's residual ------------------------------------
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
-    """Coefficients of r = 1 + sum_j alpha_j (e_j + e_{j+1}) along a path.
+def _path_rho(order: list[int], rr: dict[int, float]) -> dict[int, float]:
+    """Weights reproducing the targets ``rr`` on the path ``order``, written
+    v_1 = v_out, ..., v_n = v_in, with rho(v_out) = 1.
 
-    ``alphas[k]`` is the coefficient for path position j = k + 2 with the
-    path written v_1 = v_out, ..., v_n = v_in; ``order`` maps positions to
-    vertex ids.
+    A path target is r = 1 + sum_j alpha_j (e_j + e_{j+1}) over
+    j = 2..n-1, and a triangular solve reads the alphas off; then
+    rho(v_1) = rho(v_2) = 1 and rho(v_j) = rho(v_{j-2}) alpha_{j-1}
+    / (1 + alpha_{j-2}), reading alpha_1 = 0.  Raises NotInPsi when some
+    alpha is nonpositive or the last equation fails (relative to r(v_in),
+    whose rounding the alphas carry).
     """
-
-    alphas: np.ndarray
-    order: tuple[int, ...]
-
-
-def path_decompose(g: GraphInstance, r) -> PathDecomposition:
-    """Triangular solve for the backtrack coefficients of a path target.
-
-    Raises NotInPsi when some alpha is nonpositive, the final consistency
-    equation fails (relative to r(v_in), whose rounding the alphas carry),
-    or r(v_out) differs from 1.
-    """
-    order = _path_order(dict(enumerate(g.neighbors)), g)
-    if order is None:
-        raise ValueError("graph is not a path with endpoints v_out, v_in")
-    r = _target_array(r, g.n)
-    rr = r[list(order)]
-    n = g.n
-    if abs(rr[0] - 1.0) > _HYPERPLANE_ATOL:
-        raise NotInPsi(f"r(v_out) = {rr[0]} but must equal 1")
+    r = [rr[v] for v in order]
+    n = len(r)
     if n == 2:
-        if abs(rr[1] - 1.0) > _HYPERPLANE_ATOL:
+        if abs(r[1] - 1.0) > _HYPERPLANE_ATOL:
             raise NotInPsi(
-                f"single edge admits only r = (1, 1); got r(v_in) = {rr[1]}"
+                f"single edge admits only r = (1, 1); got r(v_in) = {r[1]}"
             )
-        return PathDecomposition(alphas=np.zeros(0), order=tuple(order))
-    alphas = np.empty(n - 2)
-    alphas[0] = rr[1] - 1.0
-    for j in range(3, n):
-        alphas[j - 2] = rr[j - 1] - 1.0 - alphas[j - 3]
-    for k, a in enumerate(alphas):
-        if not a > 0:
-            raise NotInPsi(f"alpha_{k + 2} = {a} is not positive")
-    if abs(rr[n - 1] - 1.0 - alphas[n - 3]) > _HYPERPLANE_ATOL * abs(rr[n - 1]):
+        return dict.fromkeys(order, 1.0)
+    alpha = [0.0, 0.0]  # alpha[j] is alpha_j
+    for j in range(2, n):
+        alpha.append(r[j - 1] - 1.0 - alpha[j - 1])
+        if not alpha[j] > 0:
+            raise NotInPsi(f"alpha_{j} = {alpha[j]} is not positive")
+    if abs(r[n - 1] - 1.0 - alpha[n - 1]) > _HYPERPLANE_ATOL * abs(r[n - 1]):
         raise NotInPsi(
-            f"consistency failed: r(v_in) = {rr[n - 1]} but "
-            f"1 + alpha_{n - 1} = {1.0 + alphas[n - 3]}"
+            f"consistency failed: r(v_in) = {r[n - 1]} but "
+            f"1 + alpha_{n - 1} = {1.0 + alpha[n - 1]}"
         )
-    return PathDecomposition(alphas=alphas, order=tuple(order))
-
-
-def solve_path(g: GraphInstance, r) -> WeightAssignment:
-    """Exact weights for a path target via the closed-form product formula.
-
-    rho(v_1) = rho(v_2) = 1 and rho(v_j) = rho(v_{j-2})
-    * alpha_{j-1} / (1 + alpha_{j-2}), reading alpha_1 = 0.  The result is
-    verified against the fixed-point forward map before returning.
-    """
-    dec = path_decompose(g, r)
-    n = g.n
-    rho_pos = np.ones(n)
-    alpha = {j: float(dec.alphas[j - 2]) for j in range(2, n)}
-    alpha[1] = 0.0
+    rho = [1.0, 1.0]
     for j in range(3, n + 1):
-        rho_pos[j - 1] = rho_pos[j - 3] * alpha[j - 1] / (1.0 + alpha[j - 2])
-    rho = np.empty(n)
-    rho[list(dec.order)] = rho_pos
-    w = derived_weights(g, rho)
-    _verify_forward(g, w, _target_array(r, n), 1e-9, "path solver")
-    return w
-
-
-# -- complete-graph solver -----------------------------------------------------
+        rho.append(rho[j - 3] * alpha[j - 1] / (1.0 + alpha[j - 2]))
+    return dict(zip(order, rho))
 
 
 def _complete_betas(t: float, r_rest: np.ndarray, j_max: int, r_max: float):
@@ -441,8 +401,9 @@ def _complete_betas(t: float, r_rest: np.ndarray, j_max: int, r_max: float):
     return b1, betas
 
 
-def solve_complete(g: GraphInstance, r) -> WeightAssignment:
-    """Exact simplex weights for a complete-graph target.
+def _complete_rho(rr: dict[int, float], v_in: int, v_out: int) -> dict[int, float]:
+    """Weights reproducing the targets ``rr`` on the complete graph on its
+    vertices, with rho(v_out) = 1.
 
     Solves r_j = beta_j (1 - beta_j) / beta_1 for j not in {out, in} and
     r(v_in) = (1 + beta_in/beta_1)(1 - beta_in) on the open simplex.  Only
@@ -451,19 +412,12 @@ def solve_complete(g: GraphInstance, r) -> WeightAssignment:
     t -> 0 and to r_max - (sum of the other r_j) as t -> 1, so the two
     bounds bracket a root, found by bisection on t.  Unlike beta_1, t keeps
     every beta a smooth function of the unknown, also where beta(j_max) is
-    near 1/2.  A root has beta_in > 0 exactly when r(v_in) > 1.  The result
-    is verified by the fixed-point forward map; the returned weights are
-    normalized so rho(v_out) = 1.
+    near 1/2.  A root has beta_in > 0 exactly when r(v_in) > 1.  The
+    weights are the betas over beta_1.
     """
-    if not _is_complete(dict(enumerate(g.neighbors))):
-        raise ValueError("graph is not complete (n >= 3)")
-    r = _target_array(r, g.n)
-    out, vin = g.v_out, g.v_in
-    if abs(r[out] - 1.0) > _HYPERPLANE_ATOL:
-        raise NotInPsi(f"r(v_out) = {r[out]} but must equal 1")
-    rest = [v for v in range(g.n) if v not in (out, vin)]
-    r_rest = r[rest]
-    r2 = float(r[vin])
+    rest = [v for v in sorted(rr) if v not in (v_out, v_in)]
+    r_rest = np.array([rr[v] for v in rest])
+    r2 = rr[v_in]
     if np.any(r_rest <= 0):
         bad = rest[int(np.flatnonzero(r_rest <= 0)[0])]
         raise NotInPsi(f"r({bad}) must be positive")
@@ -498,16 +452,11 @@ def solve_complete(g: GraphInstance, r) -> WeightAssignment:
             hi = t
     t = 0.5 * (lo + hi)
     b1, betas = _complete_betas(t, r_rest, j_max, r_max)
-    beta = np.empty(g.n)
-    beta[out] = b1
-    beta[vin] = 1.0 - b1 - float(betas.sum())
-    beta[rest] = betas
-    w = derived_weights(g, beta / b1)
-    _verify_forward(g, w, r, _VERIFY_TOL, "complete solver")
-    return w
+    beta = np.array([b1, 1.0 - b1 - float(betas.sum()), *betas])
+    return dict(zip([v_out, v_in, *rest], (beta / b1).tolist()))
 
 
-# -- reduction driver ----------------------------------------------------------
+# -- reduction engine --------------------------------------------------------------
 
 
 def _verify_forward(
@@ -524,16 +473,11 @@ def _verify_forward(
         )
 
 
-def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
-    """Exact weights via pendant stripping and twin merging.
-
-    Greedily strips pendant vertices (deepest from v_out first), merges
-    twin pairs when no pendant remains, solves the residual path or
-    complete graph in closed form, then replays the reductions in reverse.
-    Covers all trees: they strip down to the v_out..v_in path, which the
-    path closed form solves.  Raises NotInPsi naming the failing stage, or
-    Irreducible when stuck.
-    """
+def _solve(g: GraphInstance, r) -> WeightAssignment:
+    """The one exact solver behind ``solve_reducible``, ``solve_path`` and
+    ``solve_complete`` (see ``solve_reducible``).  The shape-checked two
+    call it rather than ``solve_reducible``, so that each public call is one
+    span for a tracer that wraps all three (``perfbench/tracing.py``)."""
     r = _target_array(r, g.n)
     adj: dict[int, set[int]] = {v: set(g.neighbors[v]) for v in range(g.n)}
     rr: dict[int, float] = {v: float(r[v]) for v in range(g.n)}
@@ -589,22 +533,30 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
             "residual graph has no pendant, no twins, and is neither a "
             "path (v_out..v_in) nor complete"
         )
-
-    # Both reductions only delete vertices, so the residual graph is the
-    # subgraph of g induced on the survivors.  With no reduction it is g,
-    # and the base solver's verified weights are the answer.
-    base = solve_path if kind == "path" else solve_complete
-    ids = sorted(adj)
     try:
-        if not records:
-            return base(g, r)
-        w_sub = base(_induced_subgraph(g, ids), np.array([rr[old] for old in ids]))
+        if abs(rr[g.v_out] - 1.0) > _HYPERPLANE_ATOL:
+            raise NotInPsi(f"r(v_out) = {rr[g.v_out]} but must equal 1")
+        if kind == "path":
+            rho = _path_rho(sorted(adj, key=g.distances.__getitem__), rr)
+        else:
+            rho = _complete_rho(rr, g.v_in, g.v_out)
     except NotInPsi as exc:
         raise NotInPsi(f"{kind} base case: {exc}") from exc
 
+    # Both reductions only delete vertices, so the residual graph is the
+    # subgraph of g induced on the survivors, and g itself when nothing was
+    # reduced.  Its round trip is the whole check of an unreduced solve.
+    ids = sorted(adj)
+    residual = _induced_subgraph(g, ids) if records else g
+    w = derived_weights(residual, [rho[v] for v in ids])
+    tol = 1e-9 if kind == "path" else _VERIFY_TOL
+    _verify_forward(residual, w, np.array([rr[v] for v in ids]), tol, f"{kind} solver")
+    if not records:
+        return w
+
     # Replaying the records in reverse, the vertices that already have a
     # weight are exactly the residual graph right after that record.
-    rho: dict[int, float] = {old: float(w_sub.rho[k]) for k, old in enumerate(ids)}
+    rho = dict(zip(ids, w.rho.tolist()))
     for rec in reversed(records):
         if rec[0] == "pendant":
             _, u, v, alpha, rv_pre = rec
@@ -615,7 +567,38 @@ def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
             rho[w_vtx] = (1.0 - alpha) * rho[v]
             rho[v] = alpha * rho[v]
 
-    rho_full = np.array([rho[v] for v in range(g.n)])
-    w_full = derived_weights(g, rho_full)
+    w_full = derived_weights(g, np.array([rho[v] for v in range(g.n)]))
     _verify_forward(g, w_full, r, _VERIFY_TOL, "reduction replay")
     return w_full
+
+
+def solve_reducible(g: GraphInstance, r) -> WeightAssignment:
+    """Exact weights via pendant stripping and twin merging.
+
+    Greedily strips pendant vertices (deepest from v_out first), merges
+    twin pairs when no pendant remains, solves the residual path or
+    complete graph in closed form, then replays the reductions in reverse.
+    Covers all trees: they strip down to the v_out..v_in path, which the
+    path closed form solves.  The forward map checks the residual's
+    weights (relative 1e-9 on a path, 1e-8 on a complete graph) and, after
+    any reduction, the replayed ones (1e-8), raising VerificationError on
+    a miss.  Raises NotInPsi naming the failing stage, or Irreducible when
+    stuck.
+    """
+    return _solve(g, r)
+
+
+def solve_path(g: GraphInstance, r) -> WeightAssignment:
+    """``solve_reducible`` on a path from v_out to v_in; ValueError on any
+    other graph."""
+    if detect_family(g) != "path":
+        raise ValueError("graph is not a path with endpoints v_out, v_in")
+    return _solve(g, r)
+
+
+def solve_complete(g: GraphInstance, r) -> WeightAssignment:
+    """``solve_reducible`` on a complete graph (n >= 3); ValueError on any
+    other graph."""
+    if detect_family(g) != "complete":
+        raise ValueError("graph is not complete (n >= 3)")
+    return _solve(g, r)

@@ -118,7 +118,7 @@ def test_criterion_4_path_round_trip():
         for j, a in enumerate(alphas, start=2):
             r[j - 1] += a
             r[j] += a
-        w = ww.solve_path(g, r)
+        w = ww.solvability.solve_path(g, r)
         worst = max(worst, float(np.abs(tau_of(g, w.rho) - r).max()))
     ok = worst <= 1e-9
     report(4, ok, f"100 path targets n in 3..12, worst forward-map gap "
@@ -152,7 +152,7 @@ def test_criterion_5_complete_round_trip():
         for j in range(n):
             if j not in (g.v_out, g.v_in):
                 r[j] = beta[j] * (1.0 - beta[j]) / b1
-        w = ww.solve_complete(g, r)
+        w = ww.solvability.solve_complete(g, r)
         worst = max(worst, float(np.abs(tau_of(g, w.rho) - r).max()))
     ok = worst <= 1e-8 and big_beta_cases >= 5
     report(5, ok, f"100 simplex targets n in 3..10, worst forward-map gap "

@@ -19,8 +19,7 @@ PUBLIC = {
     "occupation_gradient", "reconstruct_weights", "restrict_support",
     "steepest_descent",
     # solvability
-    "RelintResult", "hull_dimension", "relint_membership", "solve_complete",
-    "solve_path", "solve_reducible",
+    "RelintResult", "hull_dimension", "relint_membership", "solve_reducible",
     # spectral_green
     "SpectralData", "pseudoinverse_derivative", "spectral_data",
 }
@@ -32,4 +31,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 32
+    assert len(PUBLIC) == 30

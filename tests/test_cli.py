@@ -188,7 +188,7 @@ def test_reconstruct_p4_matches_exact_solver(p4_file, tmp_path):
     rho = np.array(read_json(out)["rho"])
     g, _ = ww.load_instance(p4_file)
     P_rec = ww.transition_matrix(g, ww.derived_weights(g, rho))
-    P_true = ww.transition_matrix(g, ww.solve_path(g, [1.0, 2.0, 3.0, 2.0]))
+    P_true = ww.transition_matrix(g, ww.solvability.solve_path(g, [1.0, 2.0, 3.0, 2.0]))
     assert np.abs(P_rec - P_true).max() <= 1e-3
 
 
@@ -312,6 +312,28 @@ def test_solve_complete_cli(k3_file, tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instance,r,rho", [
+    # cycle4 merges its twins 1 and 3; P3 with v_in = 1 strips the pendant 2.
+    (str(INSTANCES / "cycle4.json"), [1.0, 1.0, 2.0, 1.0], [1.0, 0.5, 1.0, 0.5]),
+    ({"n": 3, "edges": [[0, 1], [1, 2]], "v_in": 1, "v_out": 0},
+     [1.0, 2.0, 1.0], [1.0, 1.0, 1.0]),
+])
+def test_solve_reducible_cli(instance, r, rho, tmp_path):
+    if isinstance(instance, dict):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        instance = str(path)
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps(r))
+    out = str(tmp_path / "w.json")
+    assert main(["solve", "--instance", instance, "--target", str(target),
+                 "--out", out]) == 0
+    data = read_json(out)
+    assert data["family"] == "reducible"
+    assert data["manifest"]["family"] == "reducible"
+    assert np.array(data["rho"]) == pytest.approx(rho, abs=1e-9)
+
+
 def test_solve_petersen_irreducible(tmp_path, capsys):
     import synth
 
@@ -429,3 +451,20 @@ def test_gradcheck_reports_both_routes(k3_file, tmp_path, capsys):
 def test_missing_instance_file(tmp_path, capsys):
     assert main(["expect", "--instance", str(tmp_path / "nope.json")]) == 1
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("edges", [[0, 1], [1, 1.9]], "edge (1, 1.9) has a non-integer endpoint"),
+    ("v_in", 2.5, "v_in=2.5 is not an integer"),
+    ("n", 3.0, "n=3.0 is not an integer"),
+])
+def test_non_integer_instance_field_is_input_error(field, value, message, tmp_path, capsys):
+    # int() used to truncate these to a different, valid graph.
+    data = {"n": 3, "edges": [[0, 1], [1, 2]], "v_in": 2, "v_out": 0}
+    data[field] = value
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    target = tmp_path / "r.json"
+    target.write_text(json.dumps([1.0, 2.0, 2.0]))
+    assert main(["solve", "--instance", str(inst), "--target", str(target)]) == 1
+    assert message in capsys.readouterr().err

@@ -35,6 +35,23 @@ def test_disconnected_rejected():
         ww.build_graph(3, [(0, 1)], v_in=2, v_out=0)
 
 
+def test_non_integer_ids_rejected():
+    # int() used to truncate 2.7 to 2, or fail with a bare TypeError.
+    edges = [(0, 1), (1, 2)]
+    for args, message in (
+        ((3, edges, 2.7, 0), r"v_in=2\.7 is not an integer"),
+        ((3, edges, 2, 0.0), r"v_out=0\.0 is not an integer"),
+        ((3.0, edges, 2, 0), r"n=3\.0 is not an integer"),
+        ((3, [(0, 1), (1, 1.9)], 2, 0), r"edge \(1, 1\.9\) has a non-integer endpoint"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ww.build_graph(*args)
+    g = ww.build_graph(np.int64(3), [(np.int32(0), 1), (1, np.int64(2))],
+                       np.int64(2), np.int32(0))
+    assert (g.n, g.v_in, g.v_out, g.edges) == (3, 2, 0, ((0, 1), (1, 2)))
+    assert type(g.v_in) is int
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
         ww.build_graph(3, [(0, 1), (1, 1), (1, 2)], v_in=2, v_out=0)
@@ -209,6 +226,16 @@ def test_instance_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "v_in": 1}))
     with pytest.raises(ValueError, match="v_out"):
+        ww.load_instance(path)
+
+
+def test_instance_non_integer_field(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]], "v_in": 2.5, "v_out": 0}))
+    with pytest.raises(ValueError, match="v_in=2.5"):
+        ww.load_instance(path)
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1.9, 2]], "v_in": 2, "v_out": 0}))
+    with pytest.raises(ValueError, match="non-integer endpoint"):
         ww.load_instance(path)
 
 

@@ -358,7 +358,7 @@ def test_reconstruct_rejects_invalid_target_entry(bad):
 
 def test_target_shape_error_is_invalid_target():
     g = path_instance(3)
-    for call in (ww.restrict_support, ww.relint_membership, ww.solve_path):
+    for call in (ww.restrict_support, ww.relint_membership, ww.solvability.solve_path):
         with pytest.raises(InvalidTarget, match="shape"):
             call(g, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -379,7 +379,7 @@ def test_reconstruct_uniform_start_is_solution():
 def test_reconstruct_p4_target():
     g = path_instance(4)
     target = np.array([1.0, 2.0, 3.0, 2.0])
-    P_true = ww.transition_matrix(g, ww.solve_path(g, target))
+    P_true = ww.transition_matrix(g, ww.solvability.solve_path(g, target))
     for fit in (ww.reconstruct_weights, ww.steepest_descent):
         res = fit(g, target, ww.ReconstructionConfig(cost_tol=1e-10))
         assert res.converged and res.final_cost <= 1e-6

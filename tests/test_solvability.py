@@ -20,7 +20,7 @@ from walkweights import solvability
 from walkweights.errors import CapTooSmall, InvalidTarget, Irreducible, NotInPsi
 from walkweights.graph_core import _bfs_depths
 from walkweights.occupation import make_walk_trace
-from walkweights.solvability import detect_family, enumerate_proper_walks, path_decompose
+from walkweights.solvability import detect_family, enumerate_proper_walks
 
 
 def single_edge():
@@ -223,7 +223,7 @@ def test_relint_target_entries():
     with pytest.raises(InvalidTarget, match="vertex 2"):
         ww.relint_membership(g, r)
     with pytest.raises(NotInPsi):
-        ww.solve_path(path_instance(3), [1.0, -0.5, 2.0])
+        solvability.solve_path(path_instance(3), [1.0, -0.5, 2.0])
 
 
 # -- existence on every small graph ---------------------------------------------------
@@ -391,45 +391,36 @@ def test_relint_matches_lp_on_trace_mixtures(g, seed):
 # -- path solver -----------------------------------------------------------------------
 
 
-def test_path_decompose_examples():
-    g = path_instance(3)
-    dec = path_decompose(g, [1.0, 2.0, 2.0])
-    assert dec.alphas.tolist() == [1.0]
-    g = path_instance(4)
-    dec = path_decompose(g, [1.0, 2.0, 3.0, 2.0])
-    assert dec.alphas.tolist() == [1.0, 1.0]
+def test_solve_path_boundary_rejected():
+    with pytest.raises(NotInPsi, match=r"^path base case: alpha_2 = 0\.0 is not positive"):
+        solvability.solve_path(path_instance(3), [1.0, 1.0, 1.0])
 
 
-def test_path_decompose_boundary_rejected():
-    with pytest.raises(NotInPsi):
-        path_decompose(path_instance(3), [1.0, 1.0, 1.0])
+def test_solve_path_inconsistent_rejected():
+    with pytest.raises(NotInPsi, match="^path base case: consistency"):
+        solvability.solve_path(path_instance(4), [1.0, 2.0, 3.0, 5.0])
 
 
-def test_path_decompose_inconsistent_rejected():
-    with pytest.raises(NotInPsi, match="consistency"):
-        path_decompose(path_instance(4), [1.0, 2.0, 3.0, 5.0])
-
-
-def test_path_decompose_wrong_shape():
-    with pytest.raises(ValueError):
-        path_decompose(complete_instance(3), [1.0, 2.0, 2.0])
+def test_solve_path_wrong_shape():
+    with pytest.raises(ValueError, match="not a path"):
+        solvability.solve_path(complete_instance(3), [1.0, 2.0, 2.0])
 
 
 def test_solve_path_examples():
     g = path_instance(3)
-    w = ww.solve_path(g, [1.0, 2.0, 2.0])
+    w = solvability.solve_path(g, [1.0, 2.0, 2.0])
     assert np.abs(w.rho - 1.0).max() <= 1e-12
     g = path_instance(4)
-    w = ww.solve_path(g, [1.0, 2.0, 3.0, 2.0])
+    w = solvability.solve_path(g, [1.0, 2.0, 3.0, 2.0])
     assert w.rho == pytest.approx([1.0, 1.0, 1.0, 0.5], abs=1e-12)
 
 
 def test_solve_path_single_edge():
     g = single_edge()
-    w = ww.solve_path(g, [1.0, 1.0])
+    w = solvability.solve_path(g, [1.0, 1.0])
     assert w.rho.tolist() == [1.0, 1.0]
     with pytest.raises(NotInPsi):
-        ww.solve_path(g, [1.0, 1.5])
+        solvability.solve_path(g, [1.0, 1.5])
 
 
 def test_solve_path_random_cones():
@@ -442,7 +433,7 @@ def test_solve_path_random_cones():
         for j, a in enumerate(alphas, start=2):
             r[j - 1] += a
             r[j] += a
-        w = ww.solve_path(g, r)
+        w = solvability.solve_path(g, r)
         assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-9
 
 
@@ -452,7 +443,7 @@ def test_solve_path_long_walk_targets(n, base):
     # of order r(v_in) * 1e-16, so an absolute 1e-9 would reject them.
     g = path_instance(n)
     rho = base ** np.arange(n)
-    w = ww.solve_path(g, tau_of(g, rho))
+    w = solvability.solve_path(g, tau_of(g, rho))
     P_true = ww.transition_matrix(g, ww.derived_weights(g, rho))
     assert np.abs(ww.transition_matrix(g, w) - P_true).max() <= 1e-7
 
@@ -462,27 +453,32 @@ def test_solve_path_long_walk_targets(n, base):
 
 def test_solve_complete_uniform_k3():
     g = complete_instance(3)
-    w = ww.solve_complete(g, [1.0, 4.0 / 3.0, 2.0 / 3.0])
+    w = solvability.solve_complete(g, [1.0, 4.0 / 3.0, 2.0 / 3.0])
     assert np.abs(w.rho - 1.0).max() <= 1e-9
 
 
 def test_solve_complete_k3_worked_example():
     # beta = (0.25, 0.35, 0.40): r2 = (1 + 1.4)(0.65), r3 = 0.4*0.6/0.25
     g = complete_instance(3)
-    w = ww.solve_complete(g, [1.0, 1.56, 0.96])
+    w = solvability.solve_complete(g, [1.0, 1.56, 0.96])
     assert w.rho == pytest.approx([1.0, 1.4, 1.6], abs=1e-9)
 
 
 def test_solve_complete_upper_bound_rejected():
     g = complete_instance(4)
-    with pytest.raises(NotInPsi, match="upper"):
-        ww.solve_complete(g, [1.0, 5.0, 1.0, 1.0])
+    with pytest.raises(NotInPsi, match="^complete base case: upper"):
+        solvability.solve_complete(g, [1.0, 5.0, 1.0, 1.0])
+
+
+def test_solve_complete_wrong_shape():
+    with pytest.raises(ValueError, match="not complete"):
+        solvability.solve_complete(path_instance(3), [1.0, 2.0, 2.0])
 
 
 def test_solve_complete_lower_bound_rejected():
     g = complete_instance(4)
     with pytest.raises(NotInPsi, match="lower"):
-        ww.solve_complete(g, [1.0, 0.4, 3.0, 0.2])
+        solvability.solve_complete(g, [1.0, 0.4, 3.0, 0.2])
 
 
 def test_solve_complete_rejects_in_target_at_most_one():
@@ -490,7 +486,7 @@ def test_solve_complete_rejects_in_target_at_most_one():
     # has beta_in > 0 only when r(v_in) > 1.
     g = ww.build_graph(3, [(0, 1), (0, 2), (1, 2)], v_in=2, v_out=0)
     with pytest.raises(NotInPsi, match="must exceed 1"):
-        ww.solve_complete(g, [1.0, 0.5, 0.8])
+        solvability.solve_complete(g, [1.0, 0.5, 0.8])
 
 
 def test_solve_complete_large_beta_branch():
@@ -498,7 +494,7 @@ def test_solve_complete_large_beta_branch():
     g = complete_instance(4)
     beta = np.array([0.1, 0.2, 0.6, 0.1])
     r = _complete_target(g, beta)
-    w = ww.solve_complete(g, r)
+    w = solvability.solve_complete(g, r)
     assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
 
 
@@ -507,7 +503,7 @@ def test_solve_complete_beta_near_half():
     # function of beta(v_out) with infinite slope.
     g = complete_instance(5)
     rho = np.array([0.21287517, 0.24035844, 1.0, 0.30505279, 0.24144182])
-    w = ww.solve_complete(g, tau_of(g, rho))
+    w = solvability.solve_complete(g, tau_of(g, rho))
     assert np.abs(w.rho - rho / rho[0]).max() <= 1e-9
 
 
@@ -532,7 +528,7 @@ def test_solve_complete_random_simplex_round_trips():
         r = _complete_target(g, beta)
         # the displayed formulas agree with the fixed point of M
         assert np.abs(tau_of(g, beta) - r).max() <= 1e-10
-        w = ww.solve_complete(g, r)
+        w = solvability.solve_complete(g, r)
         assert np.abs(tau_of(g, w.rho) - r).max() <= 1e-8
 
 
@@ -581,7 +577,7 @@ def test_reduce_twins_four_cycle():
     # weights, and split evenly.
     g = four_cycle()
     r = np.array([1.0, 1.0, 2.0, 1.0])
-    w_red = ww.solve_path(merged_path(), [1.0, 2.0, 2.0])
+    w_red = solvability.solve_path(merged_path(), [1.0, 2.0, 2.0])
     assert w_red.rho == pytest.approx([1.0, 1.0, 1.0])
     rho = ww.solve_reducible(g, r).rho
     assert rho[1] + rho[3] == pytest.approx(w_red.rho[1])
@@ -593,7 +589,7 @@ def test_reduce_twins_uneven_split():
     # The split follows r(1) : r(3) = 0.25 : 0.75.
     g = four_cycle()
     r = np.array([1.0, 0.5, 2.0, 1.5])
-    w_red = ww.solve_path(merged_path(), [1.0, 2.0, 2.0])
+    w_red = solvability.solve_path(merged_path(), [1.0, 2.0, 2.0])
     rho = ww.solve_reducible(g, r).rho
     assert rho[1] == pytest.approx(0.25 * w_red.rho[1])
     assert rho[3] == pytest.approx(0.75 * w_red.rho[1])
@@ -617,8 +613,9 @@ def test_solve_reducible_trees_round_trip():
 
 
 def test_solve_reducible_tests_the_base_case_once(monkeypatch):
-    # Stripping all pendants before the base-case test leaves one call for
-    # that test and one for path_decompose, however many pendants there are.
+    # Stripping all pendants before the base-case test leaves one call,
+    # however many pendants there are; the closed form reads the path order
+    # off the distances without testing the shape again.
     calls = []
     path_order = solvability._path_order
 
@@ -630,7 +627,52 @@ def test_solve_reducible_tests_the_base_case_once(monkeypatch):
     rng = np.random.default_rng(37)
     g = random_tree(60, rng)
     ww.solve_reducible(g, tau_of(g, random_rho(g, rng)))
-    assert len(calls) <= 2, calls
+    assert len(calls) == 1, calls
+
+
+def test_solve_reducible_never_calls_the_shape_checked_solvers(monkeypatch):
+    # One engine: solve_path and solve_complete sit in front of it, never
+    # behind it, whether or not anything is reduced.
+    def refuse(g, r):
+        raise AssertionError("solve_reducible called a shape-checked solver")
+
+    monkeypatch.setattr(solvability, "solve_path", refuse)
+    monkeypatch.setattr(solvability, "solve_complete", refuse)
+    rng = np.random.default_rng(38)
+    tail = [(0, 1), (0, 2), (1, 2), (2, 3)]  # K3 with a pendant at vertex 2
+    for g in (path_instance(5), complete_instance(4), random_tree(12, rng),
+              ww.build_graph(4, tail, v_in=1, v_out=0)):
+        r = tau_of(g, random_rho(g, rng))
+        assert np.abs(tau_of(g, ww.solve_reducible(g, r).rho) - r).max() <= 1e-8
+
+
+def test_solve_reducible_round_trips_once_per_graph_solved(monkeypatch):
+    # An unreduced path is checked on g alone; a reduced tree on its
+    # residual path and then on g.
+    calls = []
+    fixed_point = solvability.expected_occupation_fixed_point
+
+    def counted(g, w):
+        calls.append(g.n)
+        return fixed_point(g, w)
+
+    monkeypatch.setattr(solvability, "expected_occupation_fixed_point", counted)
+    g = path_instance(4)
+    ww.solve_reducible(g, [1.0, 2.0, 3.0, 2.0])
+    assert calls == [4]
+    calls.clear()
+    g = pendant_at_v_in()
+    ww.solve_reducible(g, [1.0, 2.0, 1.0])
+    assert calls == [2, 3]
+
+
+def test_residual_complete_names_the_original_vertex():
+    # K4 on {0, 1, 3, 4} with a pendant 2 at vertex 3: the residual is
+    # re-indexed, but the rejection names vertex 4 of g.
+    edges = [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4), (2, 3)]
+    g = ww.build_graph(5, edges, v_in=1, v_out=0)
+    with pytest.raises(NotInPsi, match=r"^complete base case: r\(4\) must be positive$"):
+        ww.solve_reducible(g, [1.0, 2.0, 0.5, 1.5, 0.0])
 
 
 def test_solve_reducible_delegates_to_complete():
