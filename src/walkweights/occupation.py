@@ -12,9 +12,13 @@ uniform up in the current vertex's row of a neighbour table: O(log max
 degree) work per walk and step, independent of n.  The table holds the
 same cumulative floats as a dense row of the transition matrix, so each
 uniform selects the same vertex as a search over the dense row would.
-A chunk moves its walks in lockstep, numpy array by array, until at most
-``SCALAR_TAIL`` still run, then finishes those in a plain loop over the
-same uniforms in the same order, so the tail pays no per-step numpy cost.
+A chunk moves in rounds of up to ``ROUND_STEPS`` steps, whose uniforms are
+drawn step-major for the walks running at the round's start; walks that
+finish mid-round idle in a sentinel row.  While more than ``SCALAR_TAIL``
+walks run, a round moves them in lockstep, numpy array by array, and
+scatters its visits into the traces and drops finished walks once, at its
+end.  The last walks finish in a plain loop over the same rounds and
+uniforms, so the tail pays no per-step numpy cost.
 When walkers per vertex are many, the count engine moves all k walkers of
 an occupied (batch, vertex) cell by one multinomial(k, P[v]) draw, so a
 round costs O(batches * n * max degree) whatever N is.  Walkers are
@@ -57,7 +61,8 @@ DEFAULT_STEP_LIMIT = 10_000_000
 
 # The per-walk engine groups walk indices into fixed-size chunks; each
 # chunk takes its uniforms from an independent substream keyed by (seed,
-# chunk index), one per walk still running at each step.  A chunk's walks
+# chunk index), one per walk and step of each round for the walks running
+# at the round's start.  A chunk's walks
 # depend only on that substream, so the output does not depend on how
 # chunks are scheduled across workers.  The chunk size is part of the
 # stream: another size gives other (equally valid) walks.  A step costs
@@ -77,8 +82,11 @@ COUNT_BATCHES = 32
 # faster from N / (B * n * max degree) = 8 on the benchmark's dense
 # 9-vertex graph and from 4 on its 10x10 grid (BENCH_21.json), and
 # COUNT_ROUTE was set to twice the larger crossing.  With the per-walk
-# engine's scalar tail the crossings moved to 16 and 8 (BENCH_22.json), so
-# COUNT_ROUTE now equals the larger one; changing it would change bytes.
+# engine's scalar tail the crossings moved to 16 and 8 (BENCH_22.json), and
+# with its rounds (stream version 4) to 8-16 and 16 (BENCH_24.json), so
+# COUNT_ROUTE equals the larger one.  Twice it, 32, would move N / (B n d)
+# between 16 and 32 back to the per-walk engine, which at 16 ran 1.3-1.9
+# times slower than the count engine on the grid.
 COUNT_ROUTE = 16
 
 # Chunks draw their uniforms in blocks of this many (128 KB) and use them
@@ -86,18 +94,30 @@ COUNT_ROUTE = 16
 # the block size moves only where the draws happen, never which walks run.
 UNIFORM_BLOCK = 16384
 
+# A chunk moves in rounds of at most this many steps.  Its first eight
+# rounds take one step each, and later ones a quarter of the steps taken so
+# far (``_round_length``).  A round pays its trace scatter and compaction
+# once, but a walk that stops early in it idles to its end, so rounds
+# lengthen only as the chunk ages and its walks grow fewer and longer.
+ROUND_STEPS = 8
+
 # A chunk moves its walks in lockstep while more than this many are still
-# running, and finishes the rest in a scalar loop: each lockstep step pays
-# a fixed numpy overhead of 10-20 us however few walks it moves.  Tails of
-# 16, 24, 32 and 64 walks timed about the same (BENCH_22.json).
+# running, and finishes the rest in a scalar loop on the same rounds: each
+# lockstep step pays a fixed numpy overhead of 3-5 us (table width 4-8)
+# however few walks it moves, against about 0.4-0.6 us per walk and step in
+# the loop.  Tails of 16, 24, 32 and 64 walks timed about the same under
+# stream version 3 (BENCH_22.json).
 SCALAR_TAIL = 24
 
 # Version of the rule that turns a seed into walks, recorded in Monte Carlo
 # manifests.  Version 1 drew a full chunk-width block of uniforms on every
 # step and used those of the active walks; version 2 uses one uniform per
 # active walk and step, in walk order; version 3 is version 2's per-walk
-# engine below the COUNT_ROUTE rule and the count engine above it.
-STREAM_VERSION = 3
+# engine below the COUNT_ROUTE rule and the count engine above it; version 4
+# moves the per-walk engine in rounds of ``_round_length`` steps whose
+# uniforms are drawn step-major for the walks running at the round's start,
+# and leaves the count engine as it was.
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -294,6 +314,10 @@ def _neighbour_tables(g: GraphInstance, w: WeightAssignment):
     dense row's non-neighbour entries add exactly 0.0, so each neighbour's
     entry is the same float as in the dense row ``cumsum(P[v])``, and every
     uniform maps to the same vertex.
+
+    ``_simulate_chunk`` searches the tables flattened, as one row after
+    another at stride ``width``, with a sentinel row n of 1.0 entries
+    appended for walks that have reached v_out.
     """
     deg = np.array([len(nbrs) for nbrs in g.neighbors])
     width = 1 << int(deg.max() - 1).bit_length()
@@ -312,57 +336,72 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     """Simulate one chunk of walks; returns (sum_tr, sum_sq) int64.
 
-    A walk at ``pos`` steps to ``nbr[pos, k]`` with k = #{j : u >= cum[pos, j]}.
-    Each step uses one uniform per walk still running, in walk order
-    (stream version 2).  The uniforms come from the chunk's substream in
-    blocks of ``UNIFORM_BLOCK``, so the chunk may draw ahead of the ones it
-    uses.
+    A walk at v steps to ``nbr[v, c]`` with c = #{j : u >= cum[v, j]}.  The
+    chunk moves in rounds of ``_round_length`` steps (stream version 4).  A
+    round of k steps takes the next k * A uniforms of the chunk's substream
+    for the A walks running at its start, step-major: step j of walk i uses
+    the round's uniform j * A + i.  A walk that reaches v_out idles for the
+    rest of its round, and its leftover uniforms go unused.  The uniforms
+    come in blocks of ``UNIFORM_BLOCK``, so the chunk may draw ahead of the
+    ones it uses.
 
-    While more than ``SCALAR_TAIL`` walks run, the chunk moves them in
-    lockstep.  The entries a uniform u in [0, 1) reaches form a prefix of
-    the row, so k is found by a branchless binary search: for s = width/2,
-    ..., 1 the flat offset ``at`` moves up by s when
-    u >= cum_flat[at + s - 1].  A step costs O(log width) array operations,
-    whatever n is.  The remaining walks finish in a plain loop over the
-    same uniforms, step by step and in walk order within each step, each
-    looked up with ``bisect_right`` on its vertex's row, which gives the
-    same k.  A row becomes a list when a walk first reaches its vertex, and
-    the tail's visits are added to the traces in blocks.
+    While more than ``SCALAR_TAIL`` walks run, a round moves them in
+    lockstep.  A walk's state is the flat offset of its vertex's row in the
+    tables, extended by a sentinel row n.  The entries a uniform u in [0, 1)
+    reaches form a prefix of the row, so c is found by a branchless binary
+    search: for s = width/2, ..., 1 the offset moves up by s when
+    u >= cum_flat[at + s - 1], and the last halving writes the entry found
+    into the round's (k, A) array.  The entry gives the next state, its
+    neighbour's row, except that v_out leads to the sentinel row, whose
+    entries are all 1.0, lead back to it and count in a trace column n
+    that is dropped at the end.  So an absorbed walk is counted once at
+    v_out and idles without crossing a non-edge.  A step costs O(log width)
+    array operations, whatever n is.  The entries of a round's steps are
+    scattered into the traces once, at its end, and the walks that reached
+    v_out are dropped then.
+
+    The remaining walks finish in a plain loop over the same rounds and
+    uniforms, walk by walk within a round, each step looked up with
+    ``bisect_right`` on its vertex's row, which gives the same c.  A row
+    becomes a list when a walk first reaches its vertex, and the tail's
+    visits are added to the traces in blocks.
     """
     (cum, nbr), v_in, v_out, seed, chunk_index, count, step_limit = args
     n, width = cum.shape
-    cum_flat, nbr_flat = cum.ravel(), nbr.ravel()
-    halves = [width >> k for k in range(1, width.bit_length())]
-    # probe[at] reads cum_flat[at + s - 1] without an index addition.
+    sentinel = n * width
+    cum_flat = np.concatenate((cum.ravel(), np.ones(width)))
+    column = np.concatenate((nbr.ravel(), np.full(width, n)))
+    step_to = column * width
+    step_to[column == v_out] = sentinel
+    # The halvings s = width/2, ..., 2 read probe[at] = cum_flat[at + s - 1]
+    # without an index addition; the last one, s = 1, reads cum_flat[at].
+    halves = [width >> k for k in range(1, width.bit_length() - 1)]
     probes = [(s, cum_flat[s - 1:]) for s in halves]
-    gen = _chunk_rng(seed, chunk_index)
-    block, used = gen.random(UNIFORM_BLOCK), 0
-    tr = np.zeros((count, n), dtype=np.int64)
+    uniforms = _Uniforms(_chunk_rng(seed, chunk_index))
+    tr = np.zeros((count, n + 1), dtype=np.int64)
     tr[:, v_in] = 1
     tr_flat = tr.reshape(-1)
-    # Running walks as (row offset walk * n into tr_flat, position).
-    rows = np.arange(0, count * n, n)
-    pos = np.full(count, v_in, dtype=np.int64)
+    # Running walks as (offset walk * (n + 1) into tr_flat, state).
+    rows = np.arange(0, count * (n + 1), n + 1)
+    at = np.full(count, v_in * width, dtype=np.int64)
     steps = 0
     while rows.size > SCALAR_TAIL:
         if steps >= step_limit:
             raise _chunk_step_limit(rows.size, chunk_index, step_limit)
-        if used + rows.size > block.size:
-            fresh = gen.random(max(UNIFORM_BLOCK, rows.size))
-            block, used = np.concatenate((block[used:], fresh)), 0
-        u = block[used:used + rows.size]
-        used += rows.size
-        at = pos * width
-        for s, probe in probes:
-            at += (u >= probe[at]) * s
-        pos = nbr_flat[at]
-        tr_flat[rows + pos] += 1
-        going = pos != v_out
-        rows, pos = rows[going], pos[going]
-        steps += 1
+        k = _round_length(steps, step_limit)
+        u = uniforms.take(k * rows.size).reshape(k, rows.size)
+        entries = np.empty_like(u, dtype=np.int64)
+        for u_step, entry in zip(u, entries):
+            for s, probe in probes:
+                at += (u_step >= probe[at]) * s
+            np.add(at, u_step >= cum_flat[at], out=entry)
+            at = step_to[entry]
+        np.add.at(tr_flat, rows + column[entries], 1)
+        going = at != sentinel
+        rows, at = rows[going], at[going]
+        steps += k
 
-    rows, pos = rows.tolist(), pos.tolist()
-    tail_uniforms = _tail_uniforms(gen, block[used:])
+    rows, pos = rows.tolist(), (at // width).tolist()
     cum_rows, nbr_rows = [None] * n, [None] * n  # lists, made on first visit
     visits = []  # flat tr offsets, one per walk and tail step
     while rows:
@@ -371,31 +410,50 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         if len(visits) >= UNIFORM_BLOCK:  # bound the list on long walks
             np.add.at(tr_flat, visits, 1)
             visits.clear()
+        k, walks = _round_length(steps, step_limit), len(rows)
+        u = uniforms.take(k * walks).tolist()
         still_rows, still_pos = [], []
-        for r, v, u in zip(rows, pos, tail_uniforms):
-            row = cum_rows[v]
-            if row is None:
-                row = cum_rows[v] = cum[v].tolist()
-                nbr_rows[v] = nbr[v].tolist()
-            y = nbr_rows[v][bisect_right(row, u)]
-            visits.append(r + y)
-            if y != v_out:
+        for i, (r, v) in enumerate(zip(rows, pos)):
+            for u_step in u[i::walks]:
+                row = cum_rows[v]
+                if row is None:
+                    row = cum_rows[v] = cum[v].tolist()
+                    nbr_rows[v] = nbr[v].tolist()
+                v = nbr_rows[v][bisect_right(row, u_step)]
+                visits.append(r + v)
+                if v == v_out:
+                    break
+            else:
                 still_rows.append(r)
-                still_pos.append(y)
+                still_pos.append(v)
         rows, pos = still_rows, still_pos
-        steps += 1
+        steps += k
     np.add.at(tr_flat, visits, 1)
+    tr = tr[:, :n]
     return tr.sum(axis=0), np.einsum("ij,ij->j", tr, tr)
 
 
-def _tail_uniforms(gen: np.random.Generator, head: np.ndarray):
-    """The uniforms in ``head``, then in fresh blocks from ``gen``, one float
-    at a time; each block becomes Python floats 1024 at a time, as used."""
-    block = head
-    while True:
-        for k in range(0, block.size, 1024):
-            yield from block[k:k + 1024].tolist()
-        block = gen.random(UNIFORM_BLOCK)
+def _round_length(steps: int, step_limit: int) -> int:
+    """Steps in the round that starts after ``steps``: one while the chunk
+    is young, then a quarter of its age up to ``ROUND_STEPS``, and never
+    past ``step_limit``."""
+    return min(ROUND_STEPS, max(1, steps // 4), step_limit - steps)
+
+
+class _Uniforms:
+    """A chunk's substream, handed out in order and drawn in blocks."""
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self.block, self.used = gen.random(UNIFORM_BLOCK), 0
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms."""
+        if self.used + count > self.block.size:
+            fresh = self.gen.random(max(UNIFORM_BLOCK, count))
+            self.block, self.used = np.concatenate((self.block[self.used:], fresh)), 0
+        self.used += count
+        return self.block[self.used - count:self.used]
 
 
 def _chunk_step_limit(running: int, chunk_index: int, step_limit: int):
@@ -563,15 +621,20 @@ def empirical_occupation(
     StepLimitExceeded.
     """
     N = _integer("N", N)
+    seed = _integer("seed", seed)
     workers = _integer("workers", workers)
     chunk_size = _integer("chunk_size", chunk_size)
     step_limit = _integer("step_limit", step_limit)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if step_limit < 1:
+        raise ValueError(f"step_limit must be >= 1, got {step_limit}")
     if not g.out_removed_connected:
         raise Disconnected("graph minus v_out is disconnected")
     if mc_engine(g, N) == "counts":

@@ -90,6 +90,12 @@ def test_expect_montecarlo_requires_seed(p3_file, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_expect_montecarlo_negative_seed_is_input_error(p3_file, capsys):
+    assert main(["expect", "--instance", p3_file, "--method", "montecarlo",
+                 "--N", "500", "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -102,7 +108,7 @@ def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     assert payload["manifest"]["seed"] == 9
     assert payload["manifest"]["chunk_size"] == DEFAULT_CHUNK
     assert payload["manifest"]["batches"] == COUNT_BATCHES
-    assert payload["manifest"]["stream_version"] == 3
+    assert payload["manifest"]["stream_version"] == 4
     # 5000 walks on P3 are many per vertex: they run on the count engine.
     assert payload["manifest"]["engine"] == "counts"
     assert_versions(payload["manifest"])

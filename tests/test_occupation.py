@@ -357,9 +357,9 @@ def dense_cumulative_rows(g, w):
 
 
 def test_chunked_engine_matches_scalar_reference():
-    # Replay the identical substreams with a straightforward scalar loop
-    # that searches dense cumulative rows, built here independently of the
-    # sampler's neighbour table.
+    # Replay the identical substreams with the dense round reference, which
+    # searches dense cumulative rows built here independently of the
+    # sampler's neighbour table: three chunks, the last one partial.
     g = random_connected_instance(5, np.random.default_rng(12))
     w = ww.derived_weights(g, random_rho(g, np.random.default_rng(13)))
     seed, N, width = 17, 10, 4
@@ -367,28 +367,8 @@ def test_chunked_engine_matches_scalar_reference():
 
     cum = dense_cumulative_rows(g, w)
     total = np.zeros(g.n, dtype=np.int64)
-    start = 0
-    chunk = 0
-    while start < N:
-        count = min(width, N - start)
-        gen = _chunk_rng(seed, chunk)
-        pos = [g.v_in] * count
-        tr = np.zeros((count, g.n), dtype=np.int64)
-        tr[:, g.v_in] = 1
-        active = list(range(count))
-        while active:
-            u = gen.random(len(active))
-            still = []
-            for j, i in enumerate(active):
-                nxt = int(np.searchsorted(cum[pos[i]], u[j], side="right"))
-                tr[i, nxt] += 1
-                pos[i] = nxt
-                if nxt != g.v_out:
-                    still.append(i)
-            active = still
-        total += tr.sum(axis=0)
-        start += count
-        chunk += 1
+    for chunk, start in enumerate(range(0, N, width)):
+        total += dense_round_chunk(cum, g.v_in, g.v_out, seed, chunk, min(width, N - start))[0]
     assert np.array_equal(vec.values, total / N)
 
 
@@ -509,59 +489,86 @@ def test_neighbour_tables_select_only_neighbours():
     assert short_rows > 0  # some rows really do sum to less than 1
 
 
-def dense_lockstep_chunk(cum, v_in, v_out, seed, chunk_index, count, running=None):
-    """Lockstep loop over dense (n, n) cumulative rows, O(n) work per walk
-    and step: the reference the chunk engine must match bit for bit.  A
-    ``running`` list gets the number of walks still running after each step."""
+def dense_round_chunk(cum, v_in, v_out, seed, chunk_index, count, running=None, ends=None):
+    """The chunk engine's walks over dense (n, n) cumulative rows, O(n) work
+    per walk and step: the reference it must match bit for bit.
+
+    Stream version 4: rounds of min(8, max(1, steps // 4)) steps, each
+    drawing k * A uniforms for the A walks running at its start and giving
+    step j of walk i the uniform j * A + i; walks that reach v_out idle to
+    the round's end.  A ``running`` list gets the number of walks still
+    running after each step, an ``ends`` list the step count at the end of
+    each round."""
     n = cum.shape[0]
     gen = _chunk_rng(seed, chunk_index)
     tr = np.zeros((count, n), dtype=np.int64)
     tr[:, v_in] = 1
     pos = np.full(count, v_in, dtype=np.int64)
     active = np.arange(count)
+    steps = 0
     while active.size:
-        u = gen.random(active.size)
-        rows = cum[pos[active]]
-        nxt = (u[:, None] >= rows).sum(axis=1)
-        tr[active, nxt] += 1
-        pos[active] = nxt
-        active = active[nxt != v_out]
-        if running is not None:
-            running.append(active.size)
+        k = min(8, max(1, steps // 4))
+        u = gen.random(k * active.size).reshape(k, active.size)
+        live = np.ones(active.size, dtype=bool)
+        for j in range(k):
+            walks = active[live]
+            nxt = (u[j, live][:, None] >= cum[pos[walks]]).sum(axis=1)
+            tr[walks, nxt] += 1
+            pos[walks] = nxt
+            live[live] = nxt != v_out
+            if running is not None:
+                running.append(int(live.sum()))
+        active = active[live]
+        steps += k
+        if ends is not None:
+            ends.append(steps)
     return tr.sum(axis=0), (tr * tr).sum(axis=0)
 
 
-def p3_running(count, chunk_index):
-    """Walks of a P3 chunk (seed 0) still running after each step, by the
-    dense loop."""
+def p3_rounds(count, chunk_index):
+    """Walks of a P3 chunk (seed 0) still running after each step up to the
+    longest walk's last, and the step counts at its round ends, by the dense
+    reference."""
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
-    running = []
-    dense_lockstep_chunk(
-        dense_cumulative_rows(g, w), g.v_in, g.v_out, 0, chunk_index, count, running
+    running, ends = [], []
+    dense_round_chunk(
+        dense_cumulative_rows(g, w), g.v_in, g.v_out, 0, chunk_index, count, running, ends
     )
-    return running
+    return running[:running.index(0) + 1], ends
 
 
 def test_chunk_engine_step_limit():
     # On P3 from its end every walk reaches the middle vertex in one step
     # and can leave for v_out on every second step after it.  A limit of k
-    # steps raises after step k, in whichever phase the chunk is then,
-    # naming the walks still running as the dense loop counts them.
+    # steps cuts the round it falls in and raises after step k, in
+    # whichever phase the chunk is then, naming the walks still running as
+    # the dense reference counts them.  Uniforms are step-major, so cutting
+    # a round leaves its first steps' walks as they were.
     g = path_instance(3)
     tables = _neighbour_tables(g, ww.derived_weights(g, np.ones(3)))
-    # 200 walks run in lockstep for ``handoff`` steps, then in the scalar
-    # loop, which a limit of handoff + 1 steps stops.
-    running = p3_running(200, 3)
-    handoff = 1 + next(k for k, m in enumerate(running) if m <= SCALAR_TAIL)
+    count = 5000
+    running, ends = p3_rounds(count, 3)
+    # The round end at which the chunk leaves the lockstep loop, and the
+    # rounds of two or more steps before it and after it, the latter with a
+    # walk still running at their end.
+    handoff = next(e for e in ends if running[e - 1] <= SCALAR_TAIL)
+    long_rounds = [(b, e) for b, e in zip(ends, ends[1:]) if e - b >= 2]
+    lockstep = [(b, e) for b, e in long_rounds if e < handoff]
+    tail = [(b, e) for b, e in long_rounds if handoff <= b and e < len(running)]
+    assert lockstep and tail
     cases = [
-        (200, 1),  # lockstep: all 200 walks stand on the middle vertex
+        (count, 1),  # lockstep: all walks stand on the middle vertex
+        (count, lockstep[0][0] + 1),  # inside a lockstep round
+        (count, lockstep[0][1]),  # at the end of that round
+        (count, handoff),  # reached as the chunk leaves the lockstep loop
+        (count, handoff + 1),  # one scalar step after that
+        (count, tail[0][0] + 1),  # inside a scalar round
+        (count, tail[0][1]),  # at the end of that round
         (SCALAR_TAIL, 1),  # the whole chunk runs in the scalar loop
-        (200, handoff),  # reached as the chunk leaves the lockstep loop
-        (200, handoff + 1),  # one scalar step after that
     ]
     for count, limit in cases:
-        running = p3_running(count, 3)
+        running, _ = p3_rounds(count, 3)
         assert running[limit - 1] > 0
         with pytest.raises(
             StepLimitExceeded,
@@ -609,7 +616,7 @@ def chunk_cases(draw):
 @given(chunk_cases())
 def test_chunk_engine_matches_dense_lockstep_loop(case):
     g, w, seed, chunk_index, count = case
-    want = dense_lockstep_chunk(
+    want = dense_round_chunk(
         dense_cumulative_rows(g, w), g.v_in, g.v_out, seed, chunk_index, count
     )
     # The chunk's total visit count bounds its longest walk, so a sampler
@@ -626,7 +633,7 @@ def test_long_scalar_tail_matches_dense_lockstep_loop():
     # all in the scalar loop: several blocks of uniforms and of visits.
     g = path_instance(40)
     w = ww.derived_weights(g, np.ones(40))
-    want = dense_lockstep_chunk(
+    want = dense_round_chunk(
         dense_cumulative_rows(g, w), g.v_in, g.v_out, 5, 0, SCALAR_TAIL
     )
     assert want[0].sum() > 2 * UNIFORM_BLOCK
@@ -648,11 +655,11 @@ def occupation_digest(values, stderr):
     return hashlib.sha256(values.tobytes() + stderr.tobytes()).hexdigest()
 
 
-# Pins stream version 2 (one uniform per active walk and step): the digest of
+# Pins stream version 4 (rounds of step-major uniforms): the digest of
 # empirical_occupation(grid4x4, N=1000, seed=2024, chunk_size=96), computed by
-# summing dense_lockstep_chunk over the run's 11 chunks, as
+# summing dense_round_chunk over the run's 11 chunks, as
 # test_golden_digest_matches_dense_reference does, not by the library.
-GRID4X4_DIGEST = "33d0174d54f840cc18ef0e4bcfc31c81299187d1c95ec6808fdbc43dfe23e0e6"
+GRID4X4_DIGEST = "8617b552cb6b81c98fe1ca85935cdb48f1d8f4561672b716bbc7486969c545f4"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -669,7 +676,7 @@ def test_golden_digest_matches_dense_reference():
     sum_tr = np.zeros(g.n, dtype=np.int64)
     sum_sq = np.zeros(g.n, dtype=np.int64)
     for chunk, start in enumerate(range(0, N, width)):
-        s, q = dense_lockstep_chunk(cum, g.v_in, g.v_out, 2024, chunk, min(width, N - start))
+        s, q = dense_round_chunk(cum, g.v_in, g.v_out, 2024, chunk, min(width, N - start))
         sum_tr += s
         sum_sq += q
     var = (sum_sq.astype(float) - sum_tr.astype(float) ** 2 / N) / (N - 1)
@@ -677,17 +684,29 @@ def test_golden_digest_matches_dense_reference():
     assert occupation_digest(sum_tr / N, stderr) == GRID4X4_DIGEST
 
 
-@pytest.mark.parametrize("name", ["workers", "chunk_size", "step_limit"])
+@pytest.mark.parametrize("name", ["seed", "workers", "chunk_size", "step_limit"])
 def test_non_integer_arguments_are_rejected_by_name(name):
     g = path_instance(3)
     w = ww.derived_weights(g, np.ones(3))
     for bad in (2.5, 64.0, "64", None):
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
-            ww.empirical_occupation(g, w, 10, seed=1, **{name: bad})
-    want = ww.empirical_occupation(g, w, 10, seed=1, **{name: 64})
-    got = ww.empirical_occupation(g, w, 10, seed=1, **{name: np.int64(64)})
+            ww.empirical_occupation(g, w, 10, **{"seed": 1, name: bad})
+    want = ww.empirical_occupation(g, w, 10, **{"seed": 1, name: 64})
+    got = ww.empirical_occupation(g, w, 10, **{"seed": 1, name: np.int64(64)})
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.stderr, want.stderr)
+
+
+@pytest.mark.parametrize("name,bad", [
+    ("seed", -1), ("step_limit", 0), ("step_limit", -5),
+])
+def test_negative_seed_and_step_limit_are_rejected_by_name(name, bad):
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    low = 0 if name == "seed" else 1
+    for N in (10, 40_000):  # the per-walk and the count engine
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {bad}$"):
+            ww.empirical_occupation(g, w, N, **{"seed": 1, name: bad})
 
 
 # -- count engine ------------------------------------------------------------------
