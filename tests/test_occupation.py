@@ -549,22 +549,19 @@ def test_chunk_engine_step_limit():
     tables = _neighbour_tables(g, ww.derived_weights(g, np.ones(3)))
     count = 5000
     running, ends = p3_rounds(count, 3)
-    # The round end at which the chunk leaves the lockstep loop, and the
-    # rounds of two or more steps before it and after it, the latter with a
-    # walk still running at their end.
+    # The round end at which the chunk leaves the lockstep loop, the end of
+    # the first scalar round after it, and the first round of two steps.
     handoff = next(e for e in ends if running[e - 1] <= SCALAR_TAIL)
-    long_rounds = [(b, e) for b, e in zip(ends, ends[1:]) if e - b >= 2]
-    lockstep = [(b, e) for b, e in long_rounds if e < handoff]
-    tail = [(b, e) for b, e in long_rounds if handoff <= b and e < len(running)]
-    assert lockstep and tail
+    after = ends[ends.index(handoff) + 1]
+    lockstep = next((b, e) for b, e in zip(ends, ends[1:]) if e - b >= 2)
+    assert lockstep[1] < handoff and after - handoff >= 2
     cases = [
         (count, 1),  # lockstep: all walks stand on the middle vertex
-        (count, lockstep[0][0] + 1),  # inside a lockstep round
-        (count, lockstep[0][1]),  # at the end of that round
+        (count, lockstep[0] + 1),  # inside a lockstep round
+        (count, lockstep[1]),  # at the end of that round
         (count, handoff),  # reached as the chunk leaves the lockstep loop
-        (count, handoff + 1),  # one scalar step after that
-        (count, tail[0][0] + 1),  # inside a scalar round
-        (count, tail[0][1]),  # at the end of that round
+        (count, handoff + 1),  # inside the first scalar round
+        (count, after),  # at the end of that round
         (SCALAR_TAIL, 1),  # the whole chunk runs in the scalar loop
     ]
     for count, limit in cases:
