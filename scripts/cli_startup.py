@@ -33,17 +33,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from source_trees import add_src_option, tree_envs
+
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 RUNS = 5
-THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 # Runs the CLI on argv[2:], then writes the scipy subpackages in
 # sys.modules to the file argv[1] and exits with the command's code.
@@ -95,13 +89,11 @@ def run(argv: list[str], env: dict, loaded_file: Path) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, action="append")
+    add_src_option(parser)
     args = parser.parse_args(argv)
 
-    srcs = [str(src.resolve()) for src in args.src or [ROOT / "src"]]
-    envs = {src: dict(os.environ, PYTHONPATH=src) for src in srcs}
-    for env in envs.values():
-        env.update({var: "1" for var in THREAD_VARS})
+    envs = tree_envs(args.src)
+    srcs = list(envs)
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         loaded_file = tmp / "loaded.txt"

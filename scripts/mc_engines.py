@@ -56,20 +56,13 @@ import numpy as np  # noqa: E402
 import inputs  # noqa: E402
 import reference  # noqa: E402
 import workloads  # noqa: E402
+from source_trees import add_src_option, tree_envs  # noqa: E402
 
 SEED = 1
 REPEATS = 3
 RATIOS = (0.5, 1, 2, 4, 8, 16, 32)
 SWEPT = ("dense9", "grid10x10")
 SMALL_N = (24, 100, 400)
-THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 # Times one row with the walkweights on PYTHONPATH: reads the row from
 # stdin and writes it back with its timings as JSON.
@@ -180,13 +173,11 @@ def count_route(env: dict) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, action="append")
+    add_src_option(parser)
     args = parser.parse_args(argv)
 
-    srcs = [str(src.resolve()) for src in args.src or [ROOT / "src"]]
-    envs = {src: dict(os.environ, PYTHONPATH=src) for src in srcs}
-    for env in envs.values():
-        env.update({var: "1" for var in THREAD_VARS})
+    envs = tree_envs(args.src)
+    srcs = list(envs)
     sys.path.insert(0, srcs[0])
     from walkweights import occupation
 

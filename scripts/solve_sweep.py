@@ -61,19 +61,13 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 
+from source_trees import add_src_option, tree_envs
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 2009
 TREE_SEED = 2023
 TREES = 3000
 CHUNKS = 4
-THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
 
 # Solves the pairs argv[2]:argv[3] of the pickled pair list in the file
 # argv[1], relint-tests them too when argv[4] is "1", and pickles
@@ -181,13 +175,11 @@ def fingerprint(outcomes) -> tuple[dict, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--src", type=Path, action="append")
+    add_src_option(parser)
     args = parser.parse_args(argv)
 
-    srcs = [str(src.resolve()) for src in args.src or [ROOT / "src"]]
-    envs = {src: dict(os.environ, PYTHONPATH=src) for src in srcs}
-    for env in envs.values():
-        env.update({var: "1" for var in THREAD_VARS})
+    envs = tree_envs(args.src)
+    srcs = list(envs)
     sys.path.insert(0, srcs[0])
     import walkweights as ww
 

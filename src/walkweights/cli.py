@@ -217,6 +217,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     g, _ = load_instance(args.instance)
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rho = rng.uniform(0.2, 5.0, g.n)
     rho[g.v_out] = 1.0

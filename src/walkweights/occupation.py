@@ -17,8 +17,8 @@ drawn step-major for the walks running at the round's start; walks that
 finish mid-round idle in a sentinel row.  While more than ``SCALAR_TAIL``
 walks run, a round moves them in lockstep, numpy array by array, and
 scatters its visits into the traces and drops finished walks once, at its
-end.  The last walks finish in a plain loop over the same rounds and
-uniforms, so the tail pays no per-step numpy cost.
+end.  The last walks finish in a plain loop over the same rounds, each
+counting its own visits, so the tail pays no per-step numpy cost.
 When walkers per vertex are many, the count engine moves all k walkers of
 an occupied (batch, vertex) cell by one multinomial(k, P[v]) draw, so a
 round costs O(batches * n * max degree) whatever N is.  Walkers are
@@ -88,11 +88,6 @@ COUNT_BATCHES = 32
 # between 16 and 32 back to the per-walk engine, which at 16 ran 1.3-1.9
 # times slower than the count engine on the grid.
 COUNT_ROUTE = 16
-
-# Chunks draw their uniforms in blocks of this many (128 KB) and use them
-# in order.  PCG64 gives the same doubles however the draws are split, so
-# the block size moves only where the draws happen, never which walks run.
-UNIFORM_BLOCK = 16384
 
 # A chunk moves in rounds of at most this many steps.  Its first eight
 # rounds take one step each, and later ones a quarter of the steps taken so
@@ -255,9 +250,7 @@ def _clip_tiny(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def expected_occupation_green(
-    g: GraphInstance, w: WeightAssignment, spec: SpectralData | None = None
-) -> OccupationVector:
+def expected_occupation_green(g: GraphInstance, w: WeightAssignment) -> OccupationVector:
     """Occupation times from the Green's matrix.
 
     tau(x) = tilde_rho(x) * ( G(o,o)/tilde(o) - G(i,o)/tilde(i)
@@ -267,7 +260,7 @@ def expected_occupation_green(
     at v_out; the returned vector patches that entry to 1 so all three
     forward routes share the proper-walk convention.
     """
-    G = (spec or spectral_data(g, w)).bigG
+    G = spectral_data(g, w).bigG
     t = w.tilde_rho
     i, o = g.v_in, g.v_out
     S = G[o, o] / t[o] - G[i, o] / t[i] - G[o, :] / t[o] + G[i, :] / t[i]
@@ -338,12 +331,10 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
 
     A walk at v steps to ``nbr[v, c]`` with c = #{j : u >= cum[v, j]}.  The
     chunk moves in rounds of ``_round_length`` steps (stream version 4).  A
-    round of k steps takes the next k * A uniforms of the chunk's substream
-    for the A walks running at its start, step-major: step j of walk i uses
-    the round's uniform j * A + i.  A walk that reaches v_out idles for the
-    rest of its round, and its leftover uniforms go unused.  The uniforms
-    come in blocks of ``UNIFORM_BLOCK``, so the chunk may draw ahead of the
-    ones it uses.
+    round of k steps draws a (k, A) array of uniforms from the chunk's
+    substream for the A walks running at its start: step j of walk i uses
+    entry (j, i).  A walk that reaches v_out idles for the rest of its
+    round, and its leftover uniforms go unused.
 
     While more than ``SCALAR_TAIL`` walks run, a round moves them in
     lockstep.  A walk's state is the flat offset of its vertex's row in the
@@ -360,11 +351,12 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     scattered into the traces once, at its end, and the walks that reached
     v_out are dropped then.
 
-    The remaining walks finish in a plain loop over the same rounds and
-    uniforms, walk by walk within a round, each step looked up with
-    ``bisect_right`` on its vertex's row, which gives the same c.  A row
-    becomes a list when a walk first reaches its vertex, and the tail's
-    visits are added to the traces in blocks.
+    The remaining walks finish in a plain loop over the same rounds, walk
+    by walk within a round, walk i on column i of the round's uniforms.
+    Each step is looked up with ``bisect_right`` on its vertex's row of the
+    tables as lists, which gives the same c.  Every tail walk counts its
+    own visits in a list of n, and the lists are added to the traces once,
+    after the loop.
     """
     (cum, nbr), v_in, v_out, seed, chunk_index, count, step_limit = args
     n, width = cum.shape
@@ -377,7 +369,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
     # without an index addition; the last one, s = 1, reads cum_flat[at].
     halves = [width >> k for k in range(1, width.bit_length() - 1)]
     probes = [(s, cum_flat[s - 1:]) for s in halves]
-    uniforms = _Uniforms(_chunk_rng(seed, chunk_index))
+    gen = _chunk_rng(seed, chunk_index)
     tr = np.zeros((count, n + 1), dtype=np.int64)
     tr[:, v_in] = 1
     tr_flat = tr.reshape(-1)
@@ -389,7 +381,7 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         if steps >= step_limit:
             raise _chunk_step_limit(rows.size, chunk_index, step_limit)
         k = _round_length(steps, step_limit)
-        u = uniforms.take(k * rows.size).reshape(k, rows.size)
+        u = gen.random((k, rows.size))
         entries = np.empty_like(u, dtype=np.int64)
         for u_step, entry in zip(u, entries):
             for s, probe in probes:
@@ -401,34 +393,28 @@ def _simulate_chunk(args) -> tuple[np.ndarray, np.ndarray]:
         rows, at = rows[going], at[going]
         steps += k
 
-    rows, pos = rows.tolist(), (at // width).tolist()
-    cum_rows, nbr_rows = [None] * n, [None] * n  # lists, made on first visit
-    visits = []  # flat tr offsets, one per walk and tail step
-    while rows:
+    walks = rows // (n + 1)
+    cum_rows, nbr_rows = cum.tolist(), nbr.tolist()
+    counts = [[0] * n for _ in walks]
+    tail = list(zip(counts, (at // width).tolist()))
+    while tail:
         if steps >= step_limit:
-            raise _chunk_step_limit(len(rows), chunk_index, step_limit)
-        if len(visits) >= UNIFORM_BLOCK:  # bound the list on long walks
-            np.add.at(tr_flat, visits, 1)
-            visits.clear()
-        k, walks = _round_length(steps, step_limit), len(rows)
-        u = uniforms.take(k * walks).tolist()
-        still_rows, still_pos = [], []
-        for i, (r, v) in enumerate(zip(rows, pos)):
-            for u_step in u[i::walks]:
-                row = cum_rows[v]
-                if row is None:
-                    row = cum_rows[v] = cum[v].tolist()
-                    nbr_rows[v] = nbr[v].tolist()
-                v = nbr_rows[v][bisect_right(row, u_step)]
-                visits.append(r + v)
+            raise _chunk_step_limit(len(tail), chunk_index, step_limit)
+        k = _round_length(steps, step_limit)
+        u = gen.random((k, len(tail))).T.tolist()
+        still = []
+        for (visits, v), u_walk in zip(tail, u):
+            for u_step in u_walk:
+                v = nbr_rows[v][bisect_right(cum_rows[v], u_step)]
+                visits[v] += 1
                 if v == v_out:
                     break
             else:
-                still_rows.append(r)
-                still_pos.append(v)
-        rows, pos = still_rows, still_pos
+                still.append((visits, v))
+        tail = still
         steps += k
-    np.add.at(tr_flat, visits, 1)
+    if counts:  # (0,) does not broadcast to (0, n)
+        tr[walks, :n] += counts
     tr = tr[:, :n]
     return tr.sum(axis=0), np.einsum("ij,ij->j", tr, tr)
 
@@ -438,22 +424,6 @@ def _round_length(steps: int, step_limit: int) -> int:
     is young, then a quarter of its age up to ``ROUND_STEPS``, and never
     past ``step_limit``."""
     return min(ROUND_STEPS, max(1, steps // 4), step_limit - steps)
-
-
-class _Uniforms:
-    """A chunk's substream, handed out in order and drawn in blocks."""
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self.block, self.used = gen.random(UNIFORM_BLOCK), 0
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms."""
-        if self.used + count > self.block.size:
-            fresh = self.gen.random(max(UNIFORM_BLOCK, count))
-            self.block, self.used = np.concatenate((self.block[self.used:], fresh)), 0
-        self.used += count
-        return self.block[self.used - count:self.used]
 
 
 def _chunk_step_limit(running: int, chunk_index: int, step_limit: int):

@@ -41,6 +41,7 @@ from .graph_core import (
     derived_weights,
 )
 from .occupation import (
+    _integer,
     _pinned_fixed_point,
     _target_array,
     expected_occupation_fixed_point,
@@ -90,10 +91,10 @@ class ReconstructionConfig:
     cost_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 0:
+        if _integer("max_iters", self.max_iters) < 0:
             raise ValueError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.cost_tol <= 0:
-            raise ValueError("cost_tol must be positive")
+        if not 0 < self.cost_tol < np.inf:
+            raise ValueError(f"cost_tol must be finite and positive, got {self.cost_tol}")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,11 @@ def test_expect_montecarlo_negative_seed_is_input_error(p3_file, capsys):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_gradcheck_negative_seed_is_input_error(p3_file, capsys):
+    assert main(["gradcheck", "--instance", p3_file, "--seed", "-1"]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_expect_montecarlo_reruns_identical(p3_file, tmp_path):
     outs = []
     for name in ("a.json", "b.json"):
@@ -162,6 +167,17 @@ def test_expect_missing_weights(p4_file, capsys):
 
 
 # -- reconstruct -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cost_tol", ["nan", "inf"])
+def test_reconstruct_non_finite_cost_tol_is_input_error(p3_file, tmp_path, capsys, cost_tol):
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"tau": [1.0, 2.0, 2.0]}))
+    out = tmp_path / "weights.json"
+    assert main(["reconstruct", "--instance", p3_file, "--target", str(target),
+                 "--cost-tol", cost_tol, "--out", str(out)]) == 1
+    assert "cost_tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_p3(p3_file, tmp_path):

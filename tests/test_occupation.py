@@ -27,7 +27,6 @@ from walkweights.occupation import (
     DEFAULT_CHUNK,
     DEFAULT_STEP_LIMIT,
     SCALAR_TAIL,
-    UNIFORM_BLOCK,
     _batch_sizes,
     _chunk_rng,
     _count_estimate,
@@ -596,9 +595,9 @@ def chunk_cases(draw):
     log_rho = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     w = ww.derived_weights(g, 10.0 ** np.array(log_rho))
     # Counts on both sides of the scalar tail, and one whose first step
-    # needs more uniforms than a block holds.
+    # draws more than 16384 uniforms.
     count = draw(st.sampled_from(
-        [1, 7, SCALAR_TAIL, SCALAR_TAIL + 1, 64, 300, UNIFORM_BLOCK + 1]
+        [1, 7, SCALAR_TAIL, SCALAR_TAIL + 1, 64, 300, 16385]
     ))
     # Some such weights trap walks for millions of steps; the dense loop
     # replays every step, so keep the chunk's expected visits few.
@@ -627,15 +626,45 @@ def test_chunk_engine_matches_dense_lockstep_loop(case):
 
 def test_long_scalar_tail_matches_dense_lockstep_loop():
     # SCALAR_TAIL walks across the uniform P40 take about 39**2 steps each,
-    # all in the scalar loop: several blocks of uniforms and of visits.
+    # all in the scalar loop: tens of thousands of tail visits.
     g = path_instance(40)
     w = ww.derived_weights(g, np.ones(40))
     want = dense_round_chunk(
         dense_cumulative_rows(g, w), g.v_in, g.v_out, 5, 0, SCALAR_TAIL
     )
-    assert want[0].sum() > 2 * UNIFORM_BLOCK
+    assert want[0].sum() > 32768
     got = _simulate_chunk(
         (_neighbour_tables(g, w), g.v_in, g.v_out, 5, 0, SCALAR_TAIL, DEFAULT_STEP_LIMIT)
+    )
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_empty_scalar_tail_matches_dense_lockstep_loop():
+    # 100 walks on a single edge all reach v_out in the first lockstep
+    # round, so none is left for the scalar loop.
+    g = single_edge()
+    w = ww.derived_weights(g, np.ones(2))
+    running = []
+    want = dense_round_chunk(dense_cumulative_rows(g, w), g.v_in, g.v_out, 8, 2, 100, running)
+    assert running == [0]
+    got = _simulate_chunk((_neighbour_tables(g, w), g.v_in, g.v_out, 8, 2, 100, 1))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert list(got[0]) == [100, 100]
+
+
+def test_tail_of_exactly_scalar_tail_walks_matches_dense_lockstep_loop():
+    # This P3 chunk of 100 walks leaves its lockstep loop with exactly
+    # SCALAR_TAIL walks running, by the dense reference.
+    g = path_instance(3)
+    w = ww.derived_weights(g, np.ones(3))
+    running, ends = [], []
+    want = dense_round_chunk(
+        dense_cumulative_rows(g, w), g.v_in, g.v_out, 0, 0, 100, running, ends
+    )
+    handoff = next(e for e in ends if running[e - 1] <= SCALAR_TAIL)
+    assert running[handoff - 1] == SCALAR_TAIL
+    got = _simulate_chunk(
+        (_neighbour_tables(g, w), g.v_in, g.v_out, 0, 0, 100, DEFAULT_STEP_LIMIT)
     )
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

@@ -484,6 +484,14 @@ def test_reconstruction_config_rejects_negative_max_iters():
     assert res.status == "max_iters" and len(res.log) == 1
 
 
+def test_reconstruction_config_rejects_non_finite_cost_tol_and_non_integer_max_iters():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^cost_tol must be finite and positive"):
+            ww.ReconstructionConfig(cost_tol=bad)
+    with pytest.raises(TypeError, match="^max_iters must be an integer, got 2.5$"):
+        ww.ReconstructionConfig(max_iters=2.5)
+
+
 def test_newton_converges_on_30_vertex_trees():
     # Newton took at most 6 iterations on this set; steepest descent reached
     # cost 1e-8 on one of the ten within 10^4.
